@@ -5,7 +5,8 @@ approach: every trap-capable FP site is emitted with an inline
 pre/post-condition check (a ``fpvm_patch`` carrying the original
 instruction, flagged as compiler-generated so the cost model charges
 the cheaper optimized-check rate).  Such binaries run unchanged
-without FPVM and under ``FPVM(mode="static")`` with it.
+without FPVM and under ``FPVM(arith, FPVMConfig(mode="static"))``
+with it.
 """
 
 from __future__ import annotations

@@ -185,26 +185,18 @@ class BindCache:
     trick to binding.  A hot faulting site pays the full template walk
     once — on later traps only the memory-operand addresses are
     refreshed against current register state, and the same BoundInst
-    is handed back to the emulator.
+    is handed back to the emulator.  Entries hold locations, never
+    shadow values, so a GC sweep leaves them valid.
     """
 
     cache: dict = None
     hits: int = 0
     misses: int = 0
     trace: "TraceSink | None" = None
-    #: addr -> set of shadow handles this site's cached state depends on
-    #: (registered by the JIT's per-site unbox memos).  Handles are
-    #: free-listed and the box encoding is deterministic, so a reclaimed
-    #: handle can be re-issued with *identical* bits for a different
-    #: value — any cache keyed on those bits must die with the handle.
-    shadow_keys: dict = None
-    stale_invalidations: int = 0
 
     def __post_init__(self) -> None:
         if self.cache is None:
             self.cache = {}  # addr -> (decoded, bound, refreshers)
-        if self.shadow_keys is None:
-            self.shadow_keys = {}
 
     def lookup(self, m: "Machine",
                decoded: DecodedInst) -> tuple[BoundInst, bool]:
@@ -232,34 +224,3 @@ class BindCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------------------ #
-    # shadow-key dependency tracking (GC-sweep staleness)                 #
-    # ------------------------------------------------------------------ #
-
-    def note_shadow_key(self, addr: int, handle: int) -> None:
-        """Record that site ``addr`` caches state keyed on ``handle``."""
-        keys = self.shadow_keys.get(addr)
-        if keys is None:
-            keys = self.shadow_keys[addr] = set()
-        keys.add(handle)
-
-    def invalidate_swept(self, freed) -> list[int]:
-        """Drop per-site entries whose shadow keys were just reclaimed.
-
-        Returns the affected site addresses so dependent caches (the
-        JIT's unbox memos) can be flushed too.
-        """
-        if not self.shadow_keys:
-            return []
-        freed_set = set(freed)
-        if not freed_set:
-            return []
-        affected = []
-        for addr, keys in list(self.shadow_keys.items()):
-            if keys & freed_set:
-                affected.append(addr)
-                del self.shadow_keys[addr]
-                if self.cache.pop(addr, None) is not None:
-                    self.stale_invalidations += 1
-        return affected

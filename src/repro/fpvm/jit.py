@@ -20,8 +20,10 @@ A compiled step mirrors the slow path exactly:
   and therefore *always* flags IE) falls into the inlined emulation:
   unbox → arith op → box, the same calls the trap handler makes.
 
-Consecutive patched sites writing the same XMM register fuse into a
-*fused shadow kernel*: one closure executes the whole run and carries
+Binop and sqrt sites all compile through one chain-kernel builder; a
+lone site is a chain of length 1.  Consecutive patched sites writing
+the same XMM register fuse into a *fused shadow kernel*: one closure
+executes the whole run and carries
 the intermediate result register-to-register as a live arithmetic
 value — no NaN-box encode/decode and no ShadowStore allocation for the
 temporaries (boxing elision), which is what slashes GC pressure.  Only
@@ -34,12 +36,6 @@ Degradation always wins: a recoverable fault inside a compiled closure
 materializes the architectural state, invalidates the closure (the
 interpreter step is restored), and runs the normal degradation ladder;
 storm-demoted sites are never compiled.
-
-Staleness: shadow handles are free-listed and the NaN-box encoding is
-deterministic, so a reclaimed handle can be re-issued with *identical*
-bits for a different value.  Per-site unbox memos therefore register
-their handles with the BindCache (``note_shadow_key``) and are flushed
-when a GC sweep reclaims them.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ _RECOVERABLE = (InjectedFault, ArithmeticPortError, NanBoxError)
 
 _BINOPS = frozenset(["addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd"])
 
-#: sentinel: "the fused-kernel state register holds no live value"
+#: sentinel: "the chain-kernel state register holds no live value"
 _NOVAL = object()
 
 
@@ -78,7 +74,7 @@ class JitSite:
     """One compiled trap site."""
 
     __slots__ = ("addr", "ins", "decoded", "kind", "arith_name",
-                 "dst_index", "step", "hits", "memo", "fused_head")
+                 "dst_index", "step", "hits", "fused_head")
 
     def __init__(self, ins: "Instruction", decoded: "DecodedInst",
                  kind: str) -> None:
@@ -90,8 +86,6 @@ class JitSite:
         self.dst_index = ins.operands[0].index
         self.step = None                       # the compiled closure
         self.hits = 0
-        #: per-src unbox memo: [a_bits, a_val, b_bits, b_val]
-        self.memo = [None, None, None, None]
         self.fused_head = None                 # addr of containing kernel
 
 
@@ -158,12 +152,10 @@ class TrapSiteJIT:
                       decoded: "DecodedInst", kind: str,
                       traps_seen: int) -> None:
         site = JitSite(ins, decoded, kind)
-        if kind == "binop":
-            site.step = self._make_binop_step(m, site)
-        elif kind == "sqrt":
-            site.step = self._make_sqrt_step(m, site)
-        else:
+        if kind == "ucomi":
             site.step = self._make_ucomi_step(m, site)
+        else:
+            site.step = self._make_chain_kernel(m, [site])
         self.sites[site.addr] = site
         self._original[site.addr] = m._code[site.addr]
         m._code[site.addr] = site.step
@@ -178,41 +170,8 @@ class TrapSiteJIT:
                 action="compile",
                 traps_seen=traps_seen,
             ))
-        if kind in ("binop", "sqrt"):
+        if kind != "ucomi":
             self._try_fuse(m, site.addr)
-
-    # ---- shared capture helpers -------------------------------------- #
-
-    def _memoized_unbox(self, site: JitSite, slot: int):
-        """Closure: unbox with a per-site (bits → value) memo.
-
-        Only live handles are memoized (a dangling box's handle may be
-        re-allocated later), and never under fault injection (the
-        injector's unbox probes must stay on the uncached path).
-        """
-        fpvm = self.fpvm
-        em = fpvm.emulator
-        unbox = em.unbox
-        is_box = fpvm.codec.is_box
-        contains = fpvm.store.contains
-        note_key = fpvm.bind_cache.note_shadow_key
-        memo = site.memo
-        addr = site.addr
-        inj = fpvm.injector
-
-        def get(bits):
-            if is_box(bits):
-                if bits == memo[slot]:
-                    em.unbox_hits += 1
-                    return memo[slot + 1]
-                v = unbox(bits)
-                if inj is None and contains(bits & PAYLOAD_MASK):
-                    memo[slot] = bits
-                    memo[slot + 1] = v
-                    note_key(addr, bits & PAYLOAD_MASK)
-                return v
-            return unbox(bits)
-        return get
 
     def _fault_exit(self, m: "Machine", site_addr: int,
                     ins: "Instruction", exc: BaseException) -> None:
@@ -224,147 +183,8 @@ class TrapSiteJIT:
         fpvm._degrade(m, ins, getattr(exc, "stage", "emulate"), exc)
         fpvm.gc.maybe_collect(m)
 
-    # ---- single-site closures ---------------------------------------- #
-
-    def _make_binop_step(self, m: "Machine", site: JitSite):
-        from repro.machine.cpu import Machine as _Machine
-
-        fpvm = self.fpvm
-        em = fpvm.emulator
-        arith = fpvm.arith
-        ins = site.ins
-        name = site.arith_name
-        afn = getattr(arith, name)
-        op_cycles = arith.op_cycles(name)
-        fpu_fn = getattr(m.fpu, _Machine._SCALAR_OPS[ins.mnemonic])
-        lanes = m.regs.xmm[site.dst_index]
-        rs = _f64_reader(m, ins.operands[1])
-        regs = m.regs
-        nxt = ins.next_addr
-        record = m.mxcsr.record
-        clear_flags = m.mxcsr.clear_flags
-        is_box = fpvm.codec.is_box
-        dst_loc = XmmLoc(m, site.dst_index, 0)
-        cost = m.cost
-        buckets = cost.buckets
-        C = _base_cost(m, ins)
-        check_c = cost.platform.jit_check_cycles
-        emul_c = check_c + cost.platform.jit_emulate_cycles
-        stats = fpvm.stats
-        gc = fpvm.gc
-        box = em.box
-        ops_emulated = em.ops_emulated
-        trace = fpvm.trace
-        addr = ins.addr
-        mn = ins.mnemonic
-        inj = fpvm.injector
-        unbox_a = self._memoized_unbox(site, 0)
-        unbox_b = self._memoized_unbox(site, 2)
-
-        def step():
-            m.instr_count += 1
-            cost.cycles += C
-            buckets["base"] += C
-            a = lanes[0]
-            b = rs()
-            m.fp_instr_count += 1
-            if not (is_box(a) or is_box(b)):
-                r, fl = fpu_fn(a, b)
-                if not record(fl):
-                    # no FP event: identical to an untrapped execution
-                    lanes[0] = r & _MASK64
-                    regs.rip = nxt
-                    cost.charge(check_c, "jit")
-                    stats.jit_fast_path += 1
-                    return
-                clear_flags()
-            # a boxed operand is a signaling NaN: the FPU would flag IE
-            # unconditionally, so skipping it is exact
-            try:
-                if inj is not None:
-                    inj.fire("emulate", mn)
-                box(dst_loc, afn(unbox_a(a), unbox_b(b)))
-            except _RECOVERABLE as exc:
-                self._fault_exit(m, addr, ins, exc)
-                return
-            ops_emulated[name] = ops_emulated.get(name, 0) + 1
-            cost.charge(emul_c, "jit")
-            cost.charge(op_cycles, "emulate")
-            regs.rip = nxt
-            stats.jit_hits += 1
-            site.hits += 1
-            if trace is not None:
-                trace.emit(JitHitEvent(cycles=cost.cycles, addr=addr,
-                                       mnemonic=mn))
-            gc.maybe_collect(m)
-        return step
-
-    def _make_sqrt_step(self, m: "Machine", site: JitSite):
-        fpvm = self.fpvm
-        em = fpvm.emulator
-        arith = fpvm.arith
-        ins = site.ins
-        afn = arith.sqrt
-        op_cycles = arith.op_cycles("sqrt")
-        fpu_fn = m.fpu.sqrt64
-        lanes = m.regs.xmm[site.dst_index]
-        rs = _f64_reader(m, ins.operands[1])
-        regs = m.regs
-        nxt = ins.next_addr
-        record = m.mxcsr.record
-        clear_flags = m.mxcsr.clear_flags
-        is_box = fpvm.codec.is_box
-        dst_loc = XmmLoc(m, site.dst_index, 0)
-        cost = m.cost
-        buckets = cost.buckets
-        C = _base_cost(m, ins)
-        check_c = cost.platform.jit_check_cycles
-        emul_c = check_c + cost.platform.jit_emulate_cycles
-        stats = fpvm.stats
-        gc = fpvm.gc
-        box = em.box
-        ops_emulated = em.ops_emulated
-        trace = fpvm.trace
-        addr = ins.addr
-        mn = ins.mnemonic
-        inj = fpvm.injector
-        unbox_a = self._memoized_unbox(site, 0)
-
-        def step():
-            m.instr_count += 1
-            cost.cycles += C
-            buckets["base"] += C
-            a = rs()
-            m.fp_instr_count += 1
-            if not is_box(a):
-                r, fl = fpu_fn(a)
-                if not record(fl):
-                    lanes[0] = r & _MASK64
-                    regs.rip = nxt
-                    cost.charge(check_c, "jit")
-                    stats.jit_fast_path += 1
-                    return
-                clear_flags()
-            try:
-                if inj is not None:
-                    inj.fire("emulate", mn)
-                box(dst_loc, afn(unbox_a(a)))
-            except _RECOVERABLE as exc:
-                self._fault_exit(m, addr, ins, exc)
-                return
-            ops_emulated["sqrt"] = ops_emulated.get("sqrt", 0) + 1
-            cost.charge(emul_c, "jit")
-            cost.charge(op_cycles, "emulate")
-            regs.rip = nxt
-            stats.jit_hits += 1
-            site.hits += 1
-            if trace is not None:
-                trace.emit(JitHitEvent(cycles=cost.cycles, addr=addr,
-                                       mnemonic=mn))
-            gc.maybe_collect(m)
-        return step
-
     def _make_ucomi_step(self, m: "Machine", site: JitSite):
+        """Compare site: writes flags, so it never joins a chain."""
         fpvm = self.fpvm
         em = fpvm.emulator
         arith = fpvm.arith
@@ -392,8 +212,7 @@ class TrapSiteJIT:
         addr = ins.addr
         mn = ins.mnemonic
         inj = fpvm.injector
-        unbox_a = self._memoized_unbox(site, 0)
-        unbox_b = self._memoized_unbox(site, 2)
+        unbox = em.unbox
 
         def step():
             m.instr_count += 1
@@ -416,7 +235,7 @@ class TrapSiteJIT:
             try:
                 if inj is not None:
                     inj.fire("emulate", mn)
-                zf, pf, cf = compare(unbox_a(a), unbox_b(b)).to_rflags()
+                zf, pf, cf = compare(unbox(a), unbox(b)).to_rflags()
             except _RECOVERABLE as exc:
                 self._fault_exit(m, addr, ins, exc)
                 return
@@ -470,10 +289,7 @@ class TrapSiteJIT:
         for s in chain:
             if s.fused_head is not None:
                 self._unfuse(m, s.fused_head)
-        if self._pair_shape(chain) and self.fpvm.injector is None:
-            kernel = self._make_fused_pair_kernel(m, chain)
-        else:
-            kernel = self._make_fused_kernel(m, chain)
+        kernel = self._make_chain_kernel(m, chain)
         head_addr = chain[0].addr
         self.fused[head_addr] = chain
         for s in chain:
@@ -502,30 +318,15 @@ class TrapSiteJIT:
             m._code[head_addr] = head_site.step
             rebuild_blocks_around(m, head_addr)
 
-    @staticmethod
-    def _pair_shape(chain: list[JitSite]) -> bool:
-        """True for the hottest fusion shape — two binops whose sources
-        are independent of the carried destination register — which gets
-        a fully unrolled kernel (no per-link loop, bit tests inlined)."""
-        if len(chain) != 2:
-            return False
-        for s in chain:
-            if s.kind != "binop":
-                return False
-            src = s.ins.operands[1]
-            if isinstance(src, Xmm) and src.index == s.dst_index:
-                return False
-        return True
+    def _make_chain_kernel(self, m: "Machine", chain: list[JitSite]):
+        """Compile a chain of binop/sqrt sites on one destination
+        register; a lone site is a chain of length 1.
 
-    def _make_fused_pair_kernel(self, m: "Machine", chain: list[JitSite]):
-        """Unrolled two-binop kernel: semantics identical to the generic
-        ``_make_fused_kernel`` (same counters, same fault materialization)
-        with the interpretation overhead folded away — the NaN-box tests
-        are inline bit expressions, the commit box is allocated without
-        the ``Emulator.box`` dispatch, and unboxed source constants are
-        memoized by bit pattern (exact: bits → value is pure for non-box,
-        non-NaN bits).  Built only when no fault injector is armed, so
-        the injector hooks inside ``Emulator.unbox`` cannot be bypassed.
+        NaN-box tests are inline bit expressions and boxed operands are
+        read straight from the store.  Each link memoizes the promotion
+        of its last non-box operand bits (exact: bits → value is pure for
+        non-box, non-NaN bits).  With a fault injector armed every link
+        unboxes through ``Emulator.unbox`` so its hooks still fire.
         """
         from repro.machine.cpu import Machine as _Machine
 
@@ -534,174 +335,11 @@ class TrapSiteJIT:
         arith = fpvm.arith
         is_nan = arith.is_nan
         from_f64_bits = arith.from_f64_bits
-        s1, s2 = chain
-        lanes = m.regs.xmm[s1.dst_index]
-        regs = m.regs
-        record = m.mxcsr.record
-        clear_flags = m.mxcsr.clear_flags
-        dst_loc = XmmLoc(m, s1.dst_index, 0)
-        cost = m.cost
-        buckets = cost.buckets
-        check_c = cost.platform.jit_check_cycles
-        emul_c = check_c + cost.platform.jit_emulate_cycles
-        stats = fpvm.stats
-        gc = fpvm.gc
-        store_get = em.store.get
-        alloc = em.store.alloc
-        encode = fpvm.codec.encode
-        ops_emulated = em.ops_emulated
-        trace = fpvm.trace
-        box = em.box
-        last_nxt = s2.ins.next_addr
-        rs1 = _f64_reader(m, s1.ins.operands[1])
-        rs2 = _f64_reader(m, s2.ins.operands[1])
-        fpu1 = getattr(m.fpu, _Machine._SCALAR_OPS[s1.ins.mnemonic])
-        fpu2 = getattr(m.fpu, _Machine._SCALAR_OPS[s2.ins.mnemonic])
-        afn1 = getattr(arith, s1.arith_name)
-        afn2 = getattr(arith, s2.arith_name)
-        n1, n2 = s1.arith_name, s2.arith_name
-        C1 = _base_cost(m, s1.ins)
-        C2 = _base_cost(m, s2.ins)
-        opc1 = arith.op_cycles(n1)
-        opc2 = arith.op_cycles(n2)
-        _EXP = F64_EXP_MASK
-        _QBIT = F64_QNAN_BIT
-        _PAY = PAYLOAD_MASK
-        #: per-source promote memos: [bits, value]
-        memo1 = [None, None]
-        memo2 = [None, None]
-
-        def unbox_bits(bits, memo):
-            # exact mirror of Emulator.unbox with no injector armed
-            if (bits & _EXP) == _EXP and not bits & _QBIT and bits & _PAY:
-                v = store_get(bits & _PAY)
-                if v is not None:
-                    em.unbox_hits += 1
-                    return v
-                em.universal_nans += 1
-                return from_f64_bits(F64_DEFAULT_QNAN)
-            if bits == memo[0]:
-                em.promotions += 1
-                return memo[1]
-            if is_nan64(bits):
-                return from_f64_bits(quiet64(bits))
-            em.promotions += 1
-            v = from_f64_bits(bits)
-            memo[0], memo[1] = bits, v
-            return v
-
-        def kernel():
-            # ---- link 1 ------------------------------------------------
-            m.instr_count += 1
-            cost.cycles += C1
-            buckets["base"] += C1
-            m.fp_instr_count += 1
-            a = lanes[0]
-            b = rs1()
-            val = _NOVAL
-            if not ((a & _EXP) == _EXP and not a & _QBIT and a & _PAY
-                    or (b & _EXP) == _EXP and not b & _QBIT and b & _PAY):
-                r, fl = fpu1(a, b)
-                if not record(fl):
-                    a = r & _MASK64
-                    cost.charge(check_c, "jit")
-                    stats.jit_fast_path += 1
-                else:
-                    clear_flags()
-                    try:
-                        val = afn1(unbox_bits(a, memo1), unbox_bits(b, memo1))
-                    except _RECOVERABLE as exc:
-                        lanes[0] = a
-                        self._fault_exit(m, s1.addr, s1.ins, exc)
-                        return
-            else:
-                try:
-                    val = afn1(unbox_bits(a, memo1), unbox_bits(b, memo1))
-                except _RECOVERABLE as exc:
-                    lanes[0] = a
-                    self._fault_exit(m, s1.addr, s1.ins, exc)
-                    return
-            emulated = val is not _NOVAL
-            if emulated:
-                if is_nan(val):
-                    a = F64_DEFAULT_QNAN
-                    val = _NOVAL
-                ops_emulated[n1] = ops_emulated.get(n1, 0) + 1
-                cost.charge(emul_c, "jit")
-                cost.charge(opc1, "emulate")
-                stats.jit_hits += 1
-                s1.hits += 1
-                if trace is not None:
-                    trace.emit(JitHitEvent(cycles=cost.cycles, addr=s1.addr,
-                                           mnemonic=s1.ins.mnemonic,
-                                           fused=True, chain_len=2))
-            # ---- link 2 ------------------------------------------------
-            m.instr_count += 1
-            cost.cycles += C2
-            buckets["base"] += C2
-            m.fp_instr_count += 1
-            b = rs2()
-            if val is _NOVAL:
-                if not ((a & _EXP) == _EXP and not a & _QBIT and a & _PAY
-                        or (b & _EXP) == _EXP and not b & _QBIT and b & _PAY):
-                    r, fl = fpu2(a, b)
-                    if not record(fl):
-                        lanes[0] = r & _MASK64
-                        regs.rip = last_nxt
-                        cost.charge(check_c, "jit")
-                        stats.jit_fast_path += 1
-                        if emulated:
-                            gc.maybe_collect(m)
-                        return
-                    clear_flags()
-                try:
-                    v = afn2(unbox_bits(a, memo2), unbox_bits(b, memo2))
-                except _RECOVERABLE as exc:
-                    lanes[0] = a
-                    self._fault_exit(m, s2.addr, s2.ins, exc)
-                    return
-            else:
-                stats.boxes_elided += 1
-                try:
-                    v = afn2(val, unbox_bits(b, memo2))
-                except _RECOVERABLE as exc:
-                    box(dst_loc, val)
-                    self._fault_exit(m, s2.addr, s2.ins, exc)
-                    return
-            ops_emulated[n2] = ops_emulated.get(n2, 0) + 1
-            cost.charge(emul_c, "jit")
-            cost.charge(opc2, "emulate")
-            stats.jit_hits += 1
-            s2.hits += 1
-            if trace is not None:
-                trace.emit(JitHitEvent(cycles=cost.cycles, addr=s2.addr,
-                                       mnemonic=s2.ins.mnemonic,
-                                       fused=True, chain_len=2))
-            # ---- commit (one box for the whole chain) -------------------
-            if is_nan(v):
-                lanes[0] = F64_DEFAULT_QNAN
-            else:
-                h = alloc(v)
-                em.boxes_created += 1
-                lanes[0] = encode(h) & _MASK64
-            regs.rip = last_nxt
-            gc.maybe_collect(m)
-        return kernel
-
-    def _make_fused_kernel(self, m: "Machine", chain: list[JitSite]):
-        from repro.machine.cpu import Machine as _Machine
-
-        fpvm = self.fpvm
-        em = fpvm.emulator
-        arith = fpvm.arith
-        is_nan = arith.is_nan
         dst_index = chain[0].dst_index
         lanes = m.regs.xmm[dst_index]
         regs = m.regs
-        mxcsr = m.mxcsr
-        record = mxcsr.record
-        clear_flags = mxcsr.clear_flags
-        is_box = fpvm.codec.is_box
+        record = m.mxcsr.record
+        clear_flags = m.mxcsr.clear_flags
         dst_loc = XmmLoc(m, dst_index, 0)
         cost = m.cost
         buckets = cost.buckets
@@ -709,28 +347,57 @@ class TrapSiteJIT:
         emul_c = check_c + cost.platform.jit_emulate_cycles
         stats = fpvm.stats
         gc = fpvm.gc
-        unbox = em.unbox
+        store_get = em.store.get
         box = em.box
         ops_emulated = em.ops_emulated
         trace = fpvm.trace
         inj = fpvm.injector
         last_nxt = chain[-1].ins.next_addr
         n = len(chain)
+        fused = n > 1
+        _EXP = F64_EXP_MASK
+        _QBIT = F64_QNAN_BIT
+        _PAY = PAYLOAD_MASK
+
+        if inj is None:
+            def unbox(bits, memo):
+                # exact mirror of Emulator.unbox with no injector armed
+                if (bits & _EXP) == _EXP and not bits & _QBIT and bits & _PAY:
+                    v = store_get(bits & _PAY)
+                    if v is not None:
+                        em.unbox_hits += 1
+                        return v
+                    em.universal_nans += 1
+                    return from_f64_bits(F64_DEFAULT_QNAN)
+                if bits == memo[0]:
+                    em.promotions += 1
+                    return memo[1]
+                if is_nan64(bits):
+                    return from_f64_bits(quiet64(bits))
+                em.promotions += 1
+                v = from_f64_bits(bits)
+                memo[0], memo[1] = bits, v
+                return v
+        else:
+            em_unbox = em.unbox
+
+            def unbox(bits, memo):
+                return em_unbox(bits)
 
         links = []
         for s in chain:
             ins = s.ins
-            is_binop = s.kind == "binop"
-            fpu_fn = (getattr(m.fpu, _Machine._SCALAR_OPS[ins.mnemonic])
-                      if is_binop else m.fpu.sqrt64)
+            unary = s.kind == "sqrt"
+            fpu_fn = (m.fpu.sqrt64 if unary
+                      else getattr(m.fpu, _Machine._SCALAR_OPS[ins.mnemonic]))
             src = ins.operands[1]
-            src_is_state = isinstance(src, Xmm) and src.index == dst_index
-            rs = None if src_is_state else _f64_reader(m, src)
+            # a source naming the destination reads the carried state
+            rs = (None if isinstance(src, Xmm) and src.index == dst_index
+                  else _f64_reader(m, src))
             links.append((
-                s, ins, ins.mnemonic, is_binop, fpu_fn,
-                getattr(arith, s.arith_name), s.arith_name, rs,
-                src_is_state, _base_cost(m, ins),
-                arith.op_cycles(s.arith_name),
+                s, ins.mnemonic, unary, fpu_fn, getattr(arith, s.arith_name),
+                s.arith_name, rs, _base_cost(m, ins),
+                arith.op_cycles(s.arith_name), [None, None],
             ))
         links = tuple(links)
 
@@ -741,99 +408,55 @@ class TrapSiteJIT:
             sbits = lanes[0]
             sval = _NOVAL
             emulated = False
-            for (site, ins, mn, is_binop, fpu_fn, afn, name, rs,
-                 src_is_state, C, opc) in links:
+            for site, mn, unary, fpu_fn, afn, name, rs, C, opc, memo in links:
                 m.instr_count += 1
                 cost.cycles += C
                 buckets["base"] += C
                 m.fp_instr_count += 1
-                if is_binop:
-                    b = sbits if src_is_state else rs()
+                # operand a is the carried state, except for a sqrt of an
+                # independent source (the state is then dead: overwritten
+                # without being read); a unary link sets b = a so the
+                # box test needs no branch
+                if unary and rs is not None:
+                    a, aval = rs(), _NOVAL
+                else:
+                    a, aval = sbits, sval
+                b = a if unary or rs is None else rs()
+                if aval is _NOVAL:
+                    if not ((a & _EXP) == _EXP and not a & _QBIT and a & _PAY
+                            or (b & _EXP) == _EXP and not b & _QBIT
+                            and b & _PAY):
+                        r, fl = fpu_fn(a) if unary else fpu_fn(a, b)
+                        if not record(fl):
+                            # no FP event: identical to an untrapped
+                            # execution
+                            sbits = r & _MASK64
+                            sval = _NOVAL
+                            cost.charge(check_c, "jit")
+                            stats.jit_fast_path += 1
+                            continue
+                        clear_flags()
+                    # a boxed operand is a signaling NaN: the FPU would
+                    # flag IE unconditionally, so skipping it is exact
+                else:
+                    # intermediate stayed register-resident: no box was
+                    # allocated, no unbox needed
+                    stats.boxes_elided += 1
+                try:
+                    if inj is not None:
+                        inj.fire("emulate", mn)
+                    av = unbox(a, memo) if aval is _NOVAL else aval
+                    if unary:
+                        v = afn(av)
+                    else:
+                        v = afn(av, av if rs is None else unbox(b, memo))
+                except _RECOVERABLE as exc:
                     if sval is _NOVAL:
-                        if not (is_box(sbits) or is_box(b)):
-                            r, fl = fpu_fn(sbits, b)
-                            if not record(fl):
-                                sbits = r & _MASK64
-                                cost.charge(check_c, "jit")
-                                stats.jit_fast_path += 1
-                                continue
-                            clear_flags()
-                        try:
-                            if inj is not None:
-                                inj.fire("emulate", mn)
-                            av = unbox(sbits)
-                            bv = av if src_is_state else unbox(b)
-                            v = afn(av, bv)
-                        except _RECOVERABLE as exc:
-                            lanes[0] = sbits
-                            self._fault_exit(m, site.addr, ins, exc)
-                            return
+                        lanes[0] = sbits
                     else:
-                        # intermediate stayed register-resident: no box
-                        # was allocated, no unbox needed
-                        stats.boxes_elided += 1
-                        try:
-                            if inj is not None:
-                                inj.fire("emulate", mn)
-                            bv = sval if src_is_state else unbox(rs())
-                            v = afn(sval, bv)
-                        except _RECOVERABLE as exc:
-                            box(dst_loc, sval)
-                            self._fault_exit(m, site.addr, ins, exc)
-                            return
-                else:  # sqrt
-                    if src_is_state:
-                        if sval is _NOVAL:
-                            if not is_box(sbits):
-                                r, fl = fpu_fn(sbits)
-                                if not record(fl):
-                                    sbits = r & _MASK64
-                                    cost.charge(check_c, "jit")
-                                    stats.jit_fast_path += 1
-                                    continue
-                                clear_flags()
-                            try:
-                                if inj is not None:
-                                    inj.fire("emulate", mn)
-                                v = afn(unbox(sbits))
-                            except _RECOVERABLE as exc:
-                                lanes[0] = sbits
-                                self._fault_exit(m, site.addr, ins, exc)
-                                return
-                        else:
-                            stats.boxes_elided += 1
-                            try:
-                                if inj is not None:
-                                    inj.fire("emulate", mn)
-                                v = afn(sval)
-                            except _RECOVERABLE as exc:
-                                box(dst_loc, sval)
-                                self._fault_exit(m, site.addr, ins, exc)
-                                return
-                    else:
-                        # independent source: the carried state is dead
-                        # (overwritten without ever being read)
-                        a = rs()
-                        if not is_box(a):
-                            r, fl = fpu_fn(a)
-                            if not record(fl):
-                                sbits = r & _MASK64
-                                sval = _NOVAL
-                                cost.charge(check_c, "jit")
-                                stats.jit_fast_path += 1
-                                continue
-                            clear_flags()
-                        try:
-                            if inj is not None:
-                                inj.fire("emulate", mn)
-                            v = afn(unbox(a))
-                        except _RECOVERABLE as exc:
-                            if sval is not _NOVAL:
-                                box(dst_loc, sval)
-                            else:
-                                lanes[0] = sbits
-                            self._fault_exit(m, site.addr, ins, exc)
-                            return
+                        box(dst_loc, sval)
+                    self._fault_exit(m, site.addr, site.ins, exc)
+                    return
                 # emulated result: NaNs surface immediately as real NaN
                 # bits (exactly Emulator.box's first branch); everything
                 # else stays register-resident until the chain ends
@@ -851,7 +474,7 @@ class TrapSiteJIT:
                 if trace is not None:
                     trace.emit(JitHitEvent(
                         cycles=cost.cycles, addr=site.addr, mnemonic=mn,
-                        fused=True, chain_len=n))
+                        fused=fused, chain_len=n))
             # commit: one box for the whole chain (or plain bits)
             if sval is not _NOVAL:
                 box(dst_loc, sval)
@@ -884,7 +507,6 @@ class TrapSiteJIT:
             m._code[addr] = orig
             rebuild_blocks_around(m, addr)
         self._counts.pop(addr, None)
-        site.memo[:] = (None, None, None, None)
         self.fpvm.stats.jit_invalidations += 1
         if self.fpvm.trace is not None:
             self.fpvm.trace.emit(JitCompileEvent(
@@ -901,13 +523,6 @@ class TrapSiteJIT:
     def invalidate_all(self, m: "Machine", reason: str = "uninstall") -> None:
         for addr in list(self.sites):
             self.invalidate_site(m, addr, reason)
-
-    def clear_memos(self, addrs) -> None:
-        """Flush unbox memos whose shadow keys a GC sweep reclaimed."""
-        for addr in addrs:
-            site = self.sites.get(addr)
-            if site is not None:
-                site.memo[:] = (None, None, None, None)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> dict:

@@ -29,8 +29,7 @@ All four §3 approaches are implemented as execution modes:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ArithmeticPortError, MachineError, NanBoxError
@@ -58,12 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class FPVMConfig:
-    """All FPVM tunables in one place (replaces the keyword sprawl).
+    """All FPVM tunables in one place.
 
-    ``FPVM(arith, FPVMConfig(...))`` and ``Session(..., config=...)``
-    are the supported spellings; the legacy ``FPVM(arith, mode=...,
-    gc_epoch_cycles=...)`` keywords still work for one release but are
-    deprecated.
+    Spelled ``FPVM(arith, FPVMConfig(...))`` or
+    ``Session(..., config=...)``.
     """
 
     mode: str = "trap-and-emulate"
@@ -119,30 +116,9 @@ class FPVM:
         self,
         arith: AlternativeArithmetic,
         config: FPVMConfig | None = None,
-        *,
-        mode: str | None = None,
-        box_exact_results: bool | None = None,
-        gc_epoch_cycles: int | None = None,
-        printf_shadow_digits: int | None = None,
-        trace: "TraceSink | None" = None,
     ) -> None:
-        legacy = {k: v for k, v in (
-            ("mode", mode),
-            ("box_exact_results", box_exact_results),
-            ("gc_epoch_cycles", gc_epoch_cycles),
-            ("printf_shadow_digits", printf_shadow_digits),
-        ) if v is not None}
-        if legacy:
-            warnings.warn(
-                "FPVM keyword arguments "
-                f"{sorted(legacy)} are deprecated; pass an FPVMConfig",
-                DeprecationWarning, stacklevel=2)
         if config is None:
             config = FPVMConfig()
-        if legacy:
-            config = replace(config, **legacy)
-        if trace is not None:
-            config = replace(config, trace=trace)
         if config.mode not in ("trap-and-emulate", "trap-and-patch", "static"):
             raise ValueError(f"unknown FPVM mode {config.mode!r}")
         if config.gc_mode not in ("full", "incremental"):
@@ -198,8 +174,11 @@ class FPVM:
                                        trace=self.trace)
             self.emulator.sanitizer = self.sanitizer
         #: trap-site JIT (§4.2 call-site rewriting applied to the
-        #: emulation round-trip); only the faulting mode benefits
-        if config.jit_threshold > 0 and config.mode == "trap-and-emulate":
+        #: emulation round-trip); only the faulting mode benefits.
+        #: Compiled sites bypass Emulator.emulate, where the sanitizer
+        #: checks each value, so sanitize runs keep every trap.
+        if (config.jit_threshold > 0 and config.mode == "trap-and-emulate"
+                and self.sanitizer is None):
             from repro.fpvm.jit import TrapSiteJIT
             self.jit: "TrapSiteJIT | None" = TrapSiteJIT(
                 self, config.jit_threshold)
@@ -390,22 +369,13 @@ class FPVM:
             self.jit.note_trap(machine, frame.instruction, decoded)
         self.gc.maybe_collect(machine)
 
-    # ------------------------------------------------------------------ #
-    # GC-sweep staleness: handles are free-listed, so caches keyed on    #
-    # reclaimed NaN-box bits must be flushed before the bits recur       #
-    # ------------------------------------------------------------------ #
-
     def _on_gc_sweep(self, freed) -> None:
-        # the trace recorder must hear about the sweep *before* the
-        # bind cache flushes: a recording in flight may already have
-        # captured steps holding now-reclaimed handles, and aborting it
-        # here (rather than after the caches look clean again) is what
-        # keeps stale handles out of compiled traces
+        # handles are free-listed, so a reclaimed one can recur with
+        # identical bits: a trace recording in flight may have captured
+        # steps holding it, and aborting the recording keeps stale
+        # handles out of compiled traces
         if self.tracejit is not None:
             self.tracejit.note_sweep(freed)
-        affected = self.bind_cache.invalidate_swept(freed)
-        if self.jit is not None and affected:
-            self.jit.clear_memos(affected)
 
     # ------------------------------------------------------------------ #
     # graceful degradation ladder                                         #

@@ -312,9 +312,7 @@ class TraceJIT:
 
     def note_sweep(self, freed) -> None:
         """GC sweep notification: a recording in flight could bake state
-        that refers to the just-reclaimed shadow handles — abort it.
-        Must be called *before* downstream caches flush (satellite fix:
-        BindCache invalidation used to run first)."""
+        that refers to the just-reclaimed shadow handles — abort it."""
         if self._recording:
             self._abort_reason = "gc-sweep"
 

@@ -288,65 +288,6 @@ def run_cell_guarded(cell: MatrixCell) -> CellResult:
         return out
 
 
-def _batch_key(cell: MatrixCell):
-    """Cells that may share one SoA batch: same binary + same machine
-    configuration, differing only in watchdogs and label."""
-    return (cell.workload, cell.size, cell.arith, cell.platform,
-            cell.mode, cell.delivery_scenario, cell.patch,
-            cell.gc_epoch_cycles, cell.box_exact_results, cell.predecode,
-            cell.storm_threshold)
-
-
-def _run_matrix_batched(cells: list[MatrixCell]) -> list[CellResult]:
-    """Batched backend: group compatible cells into SoA batches.
-
-    Groups of >= 2 compatible cells (no fault injection — the injector
-    is inherently per-trap/per-site scalar state) run as one
-    :meth:`Session.run_batch`; everything else goes through the scalar
-    worker.  Results are bit-identical to the serial loop either way.
-    """
-    from repro.session import LaneSpec, Session
-
-    groups: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(cells):
-        if cell.fault_plan is None:
-            groups.setdefault(_batch_key(cell), []).append(i)
-    results: list[CellResult | None] = [None] * len(cells)
-    batched: set[int] = set()
-    for indices in groups.values():
-        if len(indices) < 2:
-            continue
-        group = [cells[i] for i in indices]
-        try:
-            session = _make_session(group[0])
-            batch = session.run_batch([
-                LaneSpec(params=dict(c.params) or None, stdin=c.stdin,
-                         max_instructions=c.max_instructions,
-                         max_cycles=c.max_cycles, label=c.label)
-                for c in group])
-        except Exception:  # noqa: BLE001 - fall back to scalar workers
-            continue
-        for i, cell, res in zip(indices, group, batch.lanes):
-            if res.error is not None:
-                out = CellResult(
-                    cell=cell, stdout=res.stdout, exit_code=res.exit_code,
-                    instr_count=res.instr_count,
-                    fp_instr_count=res.fp_instr_count,
-                    fp_traps=res.fp_traps,
-                    correctness_traps=res.correctness_traps,
-                    cycles=res.cycles, buckets=dict(res.buckets),
-                    error=res.error, error_type=res.error_type,
-                )
-            else:
-                out = _distill(cell, res)
-            results[i] = out
-            batched.add(i)
-    for i, cell in enumerate(cells):
-        if i not in batched:
-            results[i] = run_cell_guarded(cell)
-    return [r for r in results if r is not None]
-
-
 def _default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
@@ -360,8 +301,7 @@ def _default_jobs() -> int:
 def run_matrix(cells, jobs: int | None = None, *,
                timeout_s: float | None = None,
                retries: int = 0,
-               capture_errors: bool = True,
-               batch: bool = False) -> list[CellResult]:
+               capture_errors: bool = True) -> list[CellResult]:
     """Run every cell, fanning out over processes when it pays off.
 
     Results come back in input order.  Each cell is a deterministic,
@@ -369,13 +309,6 @@ def run_matrix(cells, jobs: int | None = None, *,
     serial loop.  ``jobs`` defaults to ``REPRO_JOBS`` or the CPU
     count; anything ≤ 1 (or any pool failure, e.g. a platform without
     ``fork``) runs serially.
-
-    ``batch=True`` selects the SoA batched backend: compatible cells
-    (same workload/arith/platform configuration, no fault injection)
-    execute in lockstep as one :meth:`Session.run_batch` inside this
-    process instead of fanning out — one Python dispatch per
-    instruction for the whole group.  Incompatible cells fall back to
-    the scalar worker; results stay bit-identical either way.
 
     Crash isolation: with ``capture_errors`` (the default) a cell that
     raises — or whose worker dies, or that exceeds the per-cell
@@ -385,8 +318,6 @@ def run_matrix(cells, jobs: int | None = None, *,
     a fresh pool so a wedged worker cannot poison its successors.
     """
     cells = list(cells)
-    if batch:
-        return _run_matrix_batched(cells)
     worker = run_cell_guarded if capture_errors else run_cell
     n = jobs if jobs is not None else _default_jobs()
     n = min(n, len(cells))

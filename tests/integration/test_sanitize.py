@@ -20,8 +20,8 @@ THRESH = 1e-6
 
 
 def sanitize_session(builder, *, exempt=True, aggressive=False,
-                     threshold=THRESH, precision=200):
-    cfg = FPVMConfig(sanitize=SanitizeConfig(
+                     threshold=THRESH, precision=200, jit_threshold=0):
+    cfg = FPVMConfig(jit_threshold=jit_threshold, sanitize=SanitizeConfig(
         threshold=threshold, precision=precision,
         exempt=exempt, aggressive=aggressive))
     return Session(builder, ("sanitize", precision), config=cfg)
@@ -131,6 +131,23 @@ def test_sanitize_run_bit_identical_to_native(name, mode):
     assert res.stdout == native.stdout
     assert res.exit_code == native.exit_code
     assert res.instr_count == native.instr_count
+
+
+def test_trap_site_jit_keeps_every_check():
+    """Compiled trap sites skip Emulator.emulate, where the sanitizer
+    checks each value, so a sanitize run never creates the trap-site
+    JIT: checks, verdict and cycles match the JIT-off run."""
+    _, build = SEEDED_BUGS["numbugs_sum"]
+    seen = []
+    for jit_threshold in (0, 4):
+        sess = sanitize_session(lambda: build("test"),
+                                jit_threshold=jit_threshold)
+        res = sess.run()
+        assert sess.fpvm.jit is None
+        seen.append((sess.fpvm.stats.sanitize_checks,
+                     sorted(sess.fpvm.sanitizer.flagged_sites()),
+                     res.cycles))
+    assert seen[1] == seen[0]
 
 
 def test_aggressive_exemption_reduces_checks():

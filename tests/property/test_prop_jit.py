@@ -118,26 +118,31 @@ def test_pair_kernel_elides_boxes():
 # random fusible programs                                                      #
 # --------------------------------------------------------------------------- #
 
-_OPS = ["+", "-", "*", "/"]
+_OPS = ["+", "-", "*", "/", "sqrt"]
 
 
 @given(st.lists(st.tuples(st.sampled_from(_OPS),
                           st.floats(min_value=0.5, max_value=2.0,
                                     allow_nan=False)
                           .map(lambda v: round(v, 4))),
-                min_size=2, max_size=4),
+                min_size=1, max_size=4),
        st.floats(min_value=0.1, max_value=4.0,
                  allow_nan=False).map(lambda v: round(v, 4)))
 @settings(max_examples=20, deadline=None)
 def test_random_chain_jit_identical(steps, seed):
-    """Random op chains over one accumulator — the exact shape the
-    fuser targets — must be bit-identical with the JIT on."""
-    body = "".join(f"        s = s {op} {c!r};\n" for op, c in steps)
+    """Random op chains of 1 to 4 links over one accumulator — a lone
+    site or the exact shape the fuser targets — must be bit-identical
+    with the JIT on.  One expression keeps every link on the same
+    register, so adjacent links fuse; a sqrt link may see a negative
+    operand and carry a NaN down the chain."""
+    expr = "s"
+    for op, c in steps:
+        expr = f"sqrt({expr})" if op == "sqrt" else f"({expr} {op} {c!r})"
     src = f"""
     long main() {{
         double s = {seed!r};
         for (long i = 0; i < 30; i = i + 1) {{
-    {body}
+            s = {expr};
         }}
         printf("%.17g\\n", s);
         return 0;

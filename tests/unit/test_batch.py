@@ -1,55 +1,10 @@
-"""Unit tests for the SoA batch engine's harness integration."""
+"""Unit tests for the SoA batch engine's public surface."""
 
 import pytest
 
-from repro.harness.experiment import MatrixCell, run_matrix
 from repro.machine.batch import BatchMachine, LaneSpec
 from repro.session import Session
 from repro.workloads import WORKLOADS
-
-
-def _cells(n=3, **kw):
-    base = dict(workload="lorenz", size="test", arith=None)
-    base.update(kw)
-    return [MatrixCell(**base, label=f"c{i}") for i in range(n)]
-
-
-class TestRunMatrixBatched:
-    def test_batched_matches_scalar_backend(self):
-        cells = _cells(3)
-        scalar = run_matrix(cells, jobs=1)
-        batched = run_matrix(cells, jobs=1, batch=True)
-        for s, b in zip(scalar, batched):
-            assert b.stdout == s.stdout
-            assert b.exit_code == s.exit_code
-            assert b.instr_count == s.instr_count
-            assert b.fp_instr_count == s.fp_instr_count
-            assert b.cycles == s.cycles
-
-    def test_batched_fpvm_cells(self):
-        cells = _cells(2, arith=("mpfr", 80))
-        scalar = run_matrix(cells, jobs=1)
-        batched = run_matrix(cells, jobs=1, batch=True)
-        for s, b in zip(scalar, batched):
-            assert b.stdout == s.stdout
-            assert b.cycles == s.cycles
-            assert b.fp_traps == s.fp_traps
-
-    def test_incompatible_cells_fall_back(self):
-        # different ariths cannot share a batch; results still correct
-        cells = [MatrixCell(workload="lorenz", size="test", arith=None),
-                 MatrixCell(workload="lorenz", size="test",
-                            arith=("mpfr", 80))]
-        scalar = run_matrix(cells, jobs=1)
-        batched = run_matrix(cells, jobs=1, batch=True)
-        for s, b in zip(scalar, batched):
-            assert b.stdout == s.stdout
-            assert b.cycles == s.cycles
-
-    def test_order_preserved(self):
-        cells = _cells(4)
-        results = run_matrix(cells, jobs=1, batch=True)
-        assert [r.cell.label for r in results] == [c.label for c in cells]
 
 
 class TestBatchMachineSurface:

@@ -270,7 +270,7 @@ class TestSweepVsTraceRecording:
         assert tj.stats.trace_loops_compiled == 0
         assert not tj.traces
 
-    def test_runtime_notifies_recorder_before_bind_cache(self):
+    def test_runtime_notifies_recorder_on_sweep(self):
         from repro.arith import VanillaArithmetic
         from repro.fpvm.runtime import FPVM, FPVMConfig
 
@@ -279,12 +279,10 @@ class TestSweepVsTraceRecording:
                     FPVMConfig(trace_jit_threshold=4))
         fpvm.install(m)
         assert fpvm.tracejit is not None
-        order = []
-        fpvm.tracejit.note_sweep = lambda freed: order.append("recorder")
-        fpvm.bind_cache.invalidate_swept = (
-            lambda freed: (order.append("bindcache"), set())[1])
-        fpvm._on_gc_sweep([5])
-        assert order == ["recorder", "bindcache"]
+        seen = []
+        fpvm.tracejit.note_sweep = seen.append
+        fpvm.gc.on_sweep([5])
+        assert seen == [[5]]
 
 
 class TestEpochs:

@@ -1,5 +1,5 @@
 """Unit tests for the trap-site JIT: compile/fuse/invalidate lifecycle,
-unbox-memo staleness across GC sweeps, and config plumbing."""
+shadow-handle reuse across GC sweeps, and config plumbing."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.machine.loader import load_binary
 from repro.session import Session
 
 #: one hot mulsd site, no fusible neighbour, few enough cycles that the
-#: default GC epoch never fires mid-run (memos survive to inspection)
+#: default GC epoch never fires mid-run
 _SINGLE_SRC = """
 long main() {
     double s = 0.1;
@@ -39,7 +39,7 @@ def _run(src, **cfg):
 
 def _run_raw(src, **cfg):
     """Install + run without the Session layer's final GC pass, so the
-    post-run JIT memo/bind-cache state is still inspectable."""
+    post-run bind-cache state is still inspectable."""
     m = load_binary(compile_source(src))
     fpvm = FPVM(VanillaArithmetic(), FPVMConfig(**cfg))
     fpvm.install(m)
@@ -132,37 +132,22 @@ class TestFuse:
 
 
 class TestMemoStaleness:
-    """Satellite regression: shadow handles are free-listed and the
-    NaN-box encoding is deterministic, so a swept handle can be
-    re-issued later with identical bits for a different value.  Any
-    cache keyed on box bits (bind-cache entries, JIT unbox memos) must
-    be flushed when its handle is reclaimed."""
+    """Shadow handles are free-listed and the NaN-box encoding is
+    deterministic, so a swept handle can be re-issued later with
+    identical bits for a different value.  Nothing the JIT or the bind
+    cache keeps may be keyed on box bits across a sweep."""
 
-    def test_memo_registers_shadow_keys(self):
+    def test_sweep_keeps_bind_entries(self):
+        """A BoundInst holds locations, not shadow values: a sweep that
+        reclaims every live handle leaves the bind cache untouched."""
         _, fpvm = _run_raw(_SINGLE_SRC, jit_threshold=4)
-        site = next(iter(fpvm.jit.sites.values()))
-        assert site.memo[0] is not None  # the dst box was memoized
-        keys = fpvm.bind_cache.shadow_keys.get(site.addr)
-        assert keys  # and its handle registered for sweep tracking
-
-    def test_sweep_flushes_memo_and_bind_entry(self):
-        _, fpvm = _run_raw(_SINGLE_SRC, jit_threshold=4)
-        site = next(iter(fpvm.jit.sites.values()))
-        keys = set(fpvm.bind_cache.shadow_keys[site.addr])
-        assert site.memo[0] is not None
+        before = dict(fpvm.bind_cache.cache)
+        assert before
+        live = [h for h in range(1, 1 << 12) if fpvm.store.contains(h)]
+        assert live
         # what ConservativeGC does after a sweep reclaims those handles
-        fpvm._on_gc_sweep(tuple(keys))
-        assert site.memo == [None, None, None, None]
-        assert site.addr not in fpvm.bind_cache.shadow_keys
-
-    def test_sweep_of_unrelated_handles_keeps_memo(self):
-        _, fpvm = _run_raw(_SINGLE_SRC, jit_threshold=4)
-        site = next(iter(fpvm.jit.sites.values()))
-        memo_before = list(site.memo)
-        live = set().union(*fpvm.bind_cache.shadow_keys.values())
-        bogus = max(live) + 10_000
-        fpvm._on_gc_sweep((bogus,))
-        assert site.memo == memo_before
+        fpvm.gc.on_sweep(live)
+        assert fpvm.bind_cache.cache == before
 
     def test_handle_reuse_end_to_end(self):
         """Aggressive GC epochs force handle reuse mid-run; with the

@@ -10,6 +10,7 @@ from repro.ieee.bits import bits_to_f64, f64_to_bits
 from repro.ieee.softfloat import Flags
 from repro.arith import BigFloatArithmetic, VanillaArithmetic
 from repro.fpvm import FPVM
+from repro.fpvm.runtime import FPVMConfig
 from conftest import RAX, RBX, RDI, XMM0, XMM1, asm_program, imm, lbl, mem
 from repro.machine.loader import load_binary
 
@@ -55,7 +56,7 @@ class TestInstall:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            FPVM(VanillaArithmetic(), mode="jit")
+            FPVM(VanillaArithmetic(), FPVMConfig(mode="jit"))
 
     def test_uninstall_restores(self):
         m = load_binary(build_divider())
@@ -101,7 +102,8 @@ class TestTrapAndEmulate:
 
     def test_printf_full_precision_mode(self):
         m = load_binary(build_divider())
-        fpvm = FPVM(BigFloatArithmetic(200), printf_shadow_digits=30)
+        fpvm = FPVM(BigFloatArithmetic(200),
+                    FPVMConfig(printf_shadow_digits=30))
         fpvm.install(m)
         m.run()
         out = "".join(m.stdout)
@@ -192,7 +194,7 @@ class TestTrapAndPatch:
         m1.run()
 
         m2 = load_binary(self.build_loop())
-        f2 = FPVM(VanillaArithmetic(), mode="trap-and-patch")
+        f2 = FPVM(VanillaArithmetic(), FPVMConfig(mode="trap-and-patch"))
         f2.install(m2)
         m2.run()
 
@@ -218,7 +220,7 @@ class TestTrapAndPatch:
         binary = asm_program(body, data=fp_data(
             [("x", 1.0), ("three", 3.0), ("two", 2.0)]))
         m = load_binary(binary)
-        fpvm = FPVM(VanillaArithmetic(), mode="trap-and-patch")
+        fpvm = FPVM(VanillaArithmetic(), FPVMConfig(mode="trap-and-patch"))
         fpvm.install(m)
         m.run()
         # the addsd site never traps (exact): it is never patched, but
@@ -256,7 +258,7 @@ class TestTrapAndPatch:
         binary = asm_program(body2, data=fp_data([("src", 16.0),
                                                   ("den", 2.0)]))
         m = load_binary(binary)
-        fpvm = FPVM(VanillaArithmetic(), mode="trap-and-patch")
+        fpvm = FPVM(VanillaArithmetic(), FPVMConfig(mode="trap-and-patch"))
         fpvm.install(m)
         m.run()
         # 16/2=8/2=4/2=2/2: every op exact — no faults at all, and the

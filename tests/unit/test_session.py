@@ -73,20 +73,6 @@ class TestFPVMConfig:
         assert fpvm.emulator.box_exact_results is True
         assert fpvm.printf_shadow_digits is None
 
-    def test_legacy_kwargs_deprecated_but_work(self):
-        with pytest.warns(DeprecationWarning):
-            fpvm = FPVM(VanillaArithmetic(), mode="trap-and-patch",
-                        gc_epoch_cycles=1234)
-        assert fpvm.mode == "trap-and-patch"
-        assert fpvm.gc.epoch_cycles == 1234
-
-    def test_legacy_kwargs_override_config(self):
-        cfg = FPVMConfig(gc_epoch_cycles=111)
-        with pytest.warns(DeprecationWarning):
-            fpvm = FPVM(VanillaArithmetic(), cfg, gc_epoch_cycles=222)
-        assert fpvm.gc.epoch_cycles == 222
-        assert cfg.gc_epoch_cycles == 111  # config is immutable
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             FPVM(VanillaArithmetic(), FPVMConfig(mode="jit"))

@@ -63,13 +63,20 @@ def analyze(binary, *, cache: bool = True) -> AnalysisReport:
     (``pruned_sinks`` / ``provenance``); whether the pruned sites stay
     unpatched is the patcher's choice (``apply_patches(conservative=)``).
     """
+    return _analyze(binary, cache)[0]
+
+
+def _analyze(binary, cache: bool):
+    """:func:`analyze` plus the converged :class:`ValueSetAnalysis`
+    behind the report, or ``None`` on a cache hit.  The cache keeps
+    only reports: a VSA lives as long as its caller holds it."""
     key = binary.content_hash()
     if cache:
         hit = _REPORT_CACHE.get(key)
         if hit is not None:
             CACHE_STATS["hits"] += 1
             hit.cache_hit = True
-            return hit
+            return hit, None
         CACHE_STATS["misses"] += 1
     t0 = perf_counter()
     vsa = ValueSetAnalysis(binary)
@@ -82,7 +89,7 @@ def analyze(binary, *, cache: bool = True) -> AnalysisReport:
     report.cache_hit = False
     if cache:
         _REPORT_CACHE[key] = report
-    return report
+    return report, vsa
 
 
 def clear_cache() -> None:
@@ -92,16 +99,22 @@ def clear_cache() -> None:
 
 
 def analyze_and_patch(binary, *, conservative: bool = False,
-                      cache: bool = True) -> AnalysisReport:
+                      cache: bool = True, keep_vsa: bool = False):
     """Run the analysis and install the correctness traps in place.
 
     ``conservative=True`` also patches the refinement-pruned sinks —
     the v1 behavior, kept for differential testing (pruned and
     conservative runs must be observationally identical).
+
+    Returns the report, or with ``keep_vsa=True`` the pair ``(report,
+    vsa)``: the converged :class:`ValueSetAnalysis` (``None`` when the
+    report came from the cache) for a follow-on pass over the same
+    binary — the sanitizer's interval-range pass reuses it instead of
+    re-running the VSA on the patched binary.
     """
-    report = analyze(binary, cache=cache)
+    report, vsa = _analyze(binary, cache)
     apply_patches(binary, report, conservative=conservative)
-    return report
+    return (report, vsa) if keep_vsa else report
 
 
 __all__ = ["ValueSetAnalysis", "AnalysisReport", "analyze",

@@ -24,9 +24,9 @@ to enumerate), or TOP (unknown pointer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.si import SI, SI_TOP
+from repro.analysis.si import SI
 
 
 # --------------------------------------------------------------------------- #
@@ -246,14 +246,31 @@ class RegState:
         return RegState(tuple(regs))
 
     def join(self, other: "RegState") -> "RegState":
-        return RegState(tuple(
-            join_vals(a, b) for a, b in zip(self.regs, other.regs)
-        ))
+        return self._combine(other, join_vals)
 
     def widen(self, other: "RegState") -> "RegState":
-        return RegState(tuple(
-            widen_vals(a, b) for a, b in zip(self.regs, other.regs)
-        ))
+        return self._combine(other, widen_vals)
+
+    def _combine(self, other: "RegState", op) -> "RegState":
+        regs = combine_pointwise(self.regs, other.regs, op)
+        return self if regs is self.regs else RegState(regs)
+
+
+def combine_pointwise(mine: tuple, theirs: tuple, op) -> tuple:
+    """``op`` applied element by element; returns ``mine`` itself when
+    no element moved (identical or unchanged elements are skipped)."""
+    out = None
+    for i, b in enumerate(theirs):
+        a = mine[i]
+        if a is b:
+            continue
+        v = op(a, b)
+        if v == a:
+            continue
+        if out is None:
+            out = list(mine)
+        out[i] = v
+    return mine if out is None else tuple(out)
 
 
 _IDX = {name: i for i, name in enumerate(_TRACKED)}

@@ -56,7 +56,7 @@ import struct
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.analysis.domain import Num, add_val
+from repro.analysis.domain import Num, add_val, combine_pointwise
 from repro.analysis.si import SI
 from repro.analysis.vsa import (INTERPOSED_EXTERNS, NO_FP_EXTERNS,
                                 ValueSetAnalysis, _WIDEN_AFTER)
@@ -179,6 +179,10 @@ def _join_fp(a, b, widen: bool = False):
     return Rng(lo, hi, err, a.integral and b.integral)
 
 
+def _widen_fp(a, b):
+    return _join_fp(a, b, True)
+
+
 def _min_abs(lo: float, hi: float) -> float:
     if lo <= 0.0 <= hi:
         return 0.0
@@ -212,11 +216,13 @@ class FPState:
     Stack slots absent from ``stack`` are *unknown* (FTOP), not
     "unwritten": unlike the VSA — which may be optimistic because
     compiled code never reads uninitialized slots — a proof pass must
-    assume a callee may have written any slot it cannot see.
+    assume a callee may have written any slot it cannot see.  As in
+    the VSA's ``AbsState``, the ``stack`` dict is never mutated once
+    the state exists.
     """
 
     xmm: tuple
-    stack: tuple  # sorted tuple of (aloc, Rng)
+    stack: dict  # aloc -> Rng; FTOP slots are absent
 
     def xmm_get(self, i: int):
         return self.xmm[i]
@@ -227,32 +233,42 @@ class FPState:
         return FPState(tuple(regs), self.stack)
 
     def stack_get(self, key):
-        for k, v in self.stack:
-            if k == key:
-                return v
-        return FTOP
+        return self.stack.get(key, FTOP)
 
     def stack_set(self, key, val) -> "FPState":
-        items = [(k, v) for k, v in self.stack if k != key]
-        if val is not FTOP:  # storing FTOP == erasing (absent means FTOP)
-            items.append((key, val))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return FPState(self.xmm, tuple(items))
+        stack = dict(self.stack)
+        if val is FTOP:  # storing FTOP == erasing (absent means FTOP)
+            stack.pop(key, None)
+        else:
+            stack[key] = val
+        return FPState(self.xmm, stack)
 
     def clobber_stack(self) -> "FPState":
-        return FPState(self.xmm, ())
+        return FPState(self.xmm, {})
 
     def join(self, other: "FPState", widen: bool = False) -> "FPState":
-        xmm = tuple(_join_fp(a, b, widen)
-                    for a, b in zip(self.xmm, other.xmm))
-        keys = {k for k, _ in self.stack} & {k for k, _ in other.stack}
-        items = []
-        for k in keys:
-            v = _join_fp(self.stack_get(k), other.stack_get(k), widen)
-            if v is not FTOP:
-                items.append((k, v))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return FPState(xmm, tuple(items))
+        """Pointwise join; returns ``self`` itself when nothing moved.
+
+        A slot survives only if both sides hold it (absent is FTOP).
+        """
+        xmm = combine_pointwise(self.xmm, other.xmm,
+                                _widen_fp if widen else _join_fp)
+        mine, theirs = self.stack, other.stack
+        stack = {}
+        moved = False
+        for k, a in mine.items():
+            b = theirs.get(k, FTOP)
+            v = a if a is b else _join_fp(a, b, widen)
+            if v is FTOP:
+                moved = True
+            elif v == a:
+                stack[k] = a
+            else:
+                stack[k] = v
+                moved = True
+        if xmm is self.xmm and not moved:
+            return self
+        return FPState(xmm, stack if moved else mine)
 
 
 # --------------------------------------------------------------------------- #
@@ -262,11 +278,17 @@ class FPState:
 class RangeAnalysis:
     """Worst-case rounding-divergence bounds per checked FP site."""
 
-    def __init__(self, binary, threshold: float = 1e-6) -> None:
+    def __init__(self, binary, threshold: float = 1e-6,
+                 vsa: ValueSetAnalysis | None = None) -> None:
         self.binary = binary
         self.threshold = threshold
-        self.vsa = ValueSetAnalysis(binary)
-        self.vsa.run()
+        if vsa is None:
+            vsa = ValueSetAnalysis(binary)
+            vsa.run()
+        #: converged VSA of ``binary``; patching does not change it (the
+        #: analysis looks through correctness traps), so the one the
+        #: patcher's analysis ran before patching serves as well
+        self.vsa = vsa
         self.cfg = self.vsa.cfg
         self.states: dict[tuple[int, int], FPState] = {}
         self.join_counts: dict[tuple[int, int], int] = {}
@@ -284,7 +306,7 @@ class RangeAnalysis:
     # ------------------------------------------------------------------ #
     def run(self) -> None:
         entry = self.binary.entry
-        init = FPState(_XMM_TOP, ())
+        init = FPState(_XMM_TOP, {})
         work: list[tuple[int, int]] = []
         self._merge_in((0, entry), init, work)
         while work:
@@ -319,7 +341,7 @@ class RangeAnalysis:
         count = self.join_counts.get(key, 0) + 1
         self.join_counts[key] = count
         new = old.join(state, widen=count > _WIDEN_AFTER)
-        if new != old:
+        if new is not old and new != old:
             self.states[key] = new
             work.append(key)
 
@@ -741,14 +763,14 @@ class RangeAnalysis:
         else:
             if callee is None:
                 self._poison_all(work)  # unknown extern may write FP data
-            ret_state = FPState(_XMM_TOP, ())
+            ret_state = FPState(_XMM_TOP, {})
         if ret_site in self.binary.text_map:
             out.append(((self._ctx, ret_site), ret_state))
         if callee is not None:
             # FP arguments flow into the callee in xmm registers; the
             # callee starts its own frame (k=1 context, as in the VSA)
             ctx = ins.addr if self.vsa.k >= 1 else 0
-            out.append(((ctx, callee), FPState(st.xmm, ())))
+            out.append(((ctx, callee), FPState(st.xmm, {})))
         return out
 
 
@@ -839,8 +861,13 @@ def clear_ranges_cache() -> None:
 
 
 def analyze_ranges(binary, *, threshold: float = 1e-6,
-                   cache: bool = True) -> RangeReport:
-    """Run the interval-range pass; returns the (cached) report."""
+                   cache: bool = True,
+                   vsa: ValueSetAnalysis | None = None) -> RangeReport:
+    """Run the interval-range pass; returns the (cached) report.
+
+    ``vsa`` is a converged :class:`ValueSetAnalysis` of ``binary`` to
+    reuse; without one the pass runs its own.
+    """
     key = (binary.content_hash(), threshold)
     if cache:
         hit = _RANGES_CACHE.get(key)
@@ -848,7 +875,7 @@ def analyze_ranges(binary, *, threshold: float = 1e-6,
             hit.cache_hit = True
             return hit
     t0 = perf_counter()
-    ra = RangeAnalysis(binary, threshold)
+    ra = RangeAnalysis(binary, threshold, vsa)
     ra.run()
 
     report = RangeReport(binary_hash=key[0], threshold=threshold,

@@ -8,6 +8,7 @@ addition, multiplication/shift by constants, and join-with-widening.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
@@ -65,8 +66,6 @@ class SI:
         lo = self.lo + other.lo
         hi = self.hi + other.hi
         if self.stride and other.stride:
-            import math
-
             stride = math.gcd(self.stride, other.stride)
         else:
             stride = self.stride or other.stride
@@ -118,8 +117,6 @@ class SI:
             return self
         if self.top or other.top:
             return SI_TOP
-        import math
-
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
         strides = [s for s in (self.stride, other.stride) if s]

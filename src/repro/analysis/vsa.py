@@ -31,7 +31,7 @@ over contexts is exactly the flow the patcher must cover).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.instructions import Instruction
 from repro.isa.operands import Imm, Mem, Reg, Xmm
@@ -40,6 +40,7 @@ from repro.asm.program import Binary
 from repro.analysis.cfg import CFG
 from repro.analysis.si import SI, SI_TOP
 from repro.analysis.domain import (
+    BOTTOM,
     TOP,
     AccessSet,
     HeapAddr,
@@ -83,46 +84,66 @@ _INT_READERS = frozenset({"mov", "movzx", "movsx", "add", "sub", "and",
                           "cmove", "cmovne", "cmovl", "cmovg"})
 
 
-@dataclass(frozen=True)
+#: ``dict.get`` default telling an absent slot from a stored BOTTOM
+_ABSENT = object()
+
+
+@dataclass(frozen=True, slots=True)
 class AbsState:
-    """Register state + tracked stack-slot values of the current frame."""
+    """Register state + tracked stack-slot values of the current frame.
+
+    ``stack`` maps a stack a-loc to its value.  The dict is never
+    mutated once the state exists — :meth:`stack_set` and :meth:`join`
+    copy before they write — so states can share it freely.
+    """
 
     regs: RegState
-    stack: tuple  # sorted tuple of ((aloc), AbsVal)
+    stack: dict  # aloc -> AbsVal
 
     def stack_get(self, key):
-        for k, v in self.stack:
-            if k == key:
-                return v
         # optimistic: a slot with no recorded store is "no value yet"
         # (BOTTOM); compiled code never reads uninitialized slots, and
         # treating them as TOP would let transient worklist orderings
         # poison the whole analysis (see module docstring)
-        from repro.analysis.domain import BOTTOM
-        return BOTTOM
+        return self.stack.get(key, BOTTOM)
 
     def stack_set(self, key, val) -> "AbsState":
-        items = [(k, v) for k, v in self.stack if k != key]
-        items.append((key, val))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return AbsState(self.regs, tuple(items))
+        stack = dict(self.stack)
+        stack[key] = val
+        return AbsState(self.regs, stack)
 
     def stack_clobber(self) -> "AbsState":
-        return AbsState(self.regs, ())
+        return AbsState(self.regs, {})
 
     def with_regs(self, regs: RegState) -> "AbsState":
         return AbsState(regs, self.stack)
 
     def join(self, other: "AbsState", widen: bool = False) -> "AbsState":
+        """Pointwise join; returns ``self`` itself when nothing moved.
+
+        Slots missing on one side are BOTTOM there, so a slot only
+        ``other`` holds is copied in as is.  Stack slots are joined,
+        never widened (only the registers are).
+        """
         regs = (self.regs.widen(other.regs) if widen
                 else self.regs.join(other.regs))
-        keys = {k for k, _ in self.stack} | {k for k, _ in other.stack}
-        items = []
-        for k in keys:
-            items.append((k, join_vals(self.stack_get(k),
-                                       other.stack_get(k))))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return AbsState(regs, tuple(items))
+        stack = mine = self.stack
+        copied = False
+        for k, b in other.stack.items():
+            a = mine.get(k, _ABSENT)
+            if a is b or a == b:
+                continue
+            if a is not _ABSENT:
+                b = join_vals(a, b)
+                if b == a:
+                    continue
+            if not copied:
+                stack = dict(mine)
+                copied = True
+            stack[k] = b
+        if regs is self.regs and not copied:
+            return self
+        return AbsState(regs, stack)
 
 
 class ValueSetAnalysis:
@@ -161,7 +182,7 @@ class ValueSetAnalysis:
         from repro.analysis.sources_sinks import classify
 
         entry = self.binary.entry
-        init = AbsState(RegState.entry(entry, RegState.top_state()), ())
+        init = AbsState(RegState.entry(entry, RegState.top_state()), {})
         work: list[tuple[int, int]] = []
         self._merge_in((0, entry), init, work)
         while work:
@@ -213,7 +234,7 @@ class ValueSetAnalysis:
         count = self.join_counts.get(key, 0) + 1
         self.join_counts[key] = count
         new = old.join(state, widen=count > _WIDEN_AFTER)
-        if new != old:
+        if new is not old and new != old:
             self.states[key] = new
             work.append(key)
 
@@ -222,8 +243,6 @@ class ValueSetAnalysis:
     # ------------------------------------------------------------------ #
 
     def _eval_ea(self, mem: Mem, st: AbsState):
-        from repro.analysis.domain import BOTTOM
-
         v = Num(SI.const(mem.disp))
         if mem.base is not None:
             v = add_val(st.regs.get(canonical(mem.base)), v)
@@ -264,8 +283,6 @@ class ValueSetAnalysis:
         """Model an integer load: record the sink candidate, return the
         abstract loaded value (precise for tracked stack slots and
         never-written globals)."""
-        from repro.analysis.domain import BOTTOM
-
         ea = self._eval_ea(mem, st)
         acc = resolve_access(ea, mem.size)
         if acc.is_empty():
@@ -294,8 +311,6 @@ class ValueSetAnalysis:
         return TOP
 
     def _join_global_reads(self, ins: Instruction, keys):
-        from repro.analysis.domain import BOTTOM
-
         val = BOTTOM
         for gkey in keys:
             self.global_readers.setdefault(gkey, set()).add(
@@ -574,11 +589,6 @@ class ValueSetAnalysis:
                     st.regs.set(name, Num(cur.si.mul(sval.si))))
         if mn == "neg" and isinstance(cur, Num):
             return st.with_regs(st.regs.set(name, Num(cur.si.neg())))
-        if mn == "cqo":
-            return st.with_regs(st.regs.set("rdx", Num(SI_TOP)))
-        if mn == "idiv":
-            regs = st.regs.set("rax", Num(SI_TOP)).set("rdx", Num(SI_TOP))
-            return st.with_regs(regs)
         return st.with_regs(st.regs.set(name, Num(SI_TOP)))
 
     def _transfer_fp_mov(self, ins, mn, ops, st: AbsState,
@@ -593,10 +603,8 @@ class ValueSetAnalysis:
             return self._write_value(ins, dst, st, TOP, "fp", work)
         if isinstance(src, Mem):
             self._record(self.reads_fp, ins.addr, self._access(src, st))
-        if mn == "movq" and isinstance(dst, Xmm) and isinstance(src, Reg):
-            # GPR->xmm bit transfer; nothing to patch (int bits become
-            # an FP value; FPVM sees it when arithmetic consumes it)
-            return st
+        # movq xmm, r64 (GPR->xmm bits) needs no patch: FPVM sees the
+        # value when arithmetic consumes it
         return st
 
     def _transfer_call(self, ins, st: AbsState,
@@ -621,5 +629,5 @@ class ValueSetAnalysis:
             callee_ctx = ins.addr if self.k >= 1 else 0
             self.contexts.add(callee_ctx)
             entry_regs = st.regs.set("rsp", StackAddr(callee, SI.const(0)))
-            out.append(((callee_ctx, callee), AbsState(entry_regs, ())))
+            out.append(((callee_ctx, callee), AbsState(entry_regs, {})))
         return out

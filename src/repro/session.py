@@ -138,8 +138,12 @@ class Session:
                     if is_fp_trapping(ins.mnemonic)]
 
         self.conservative = conservative
-        self.analysis = (analyze_and_patch(binary, conservative=conservative)
-                         if self.patched else None)
+        self.analysis = vsa = None
+        if self.patched:
+            # the converged VSA stays local: the sanitizer's range pass
+            # below reuses it, and it dies with this constructor
+            self.analysis, vsa = analyze_and_patch(
+                binary, conservative=conservative, keep_vsa=True)
         self.machine = load_binary(binary, platform=platform,
                                    predecode=predecode)
         self.machine.delivery_scenario = delivery_scenario
@@ -221,7 +225,8 @@ class Session:
 
                 rr = analyze_ranges(
                     binary,
-                    threshold=self.fpvm.sanitizer.config.threshold)
+                    threshold=self.fpvm.sanitizer.config.threshold,
+                    vsa=vsa)
                 self.fpvm.apply_range_analysis(rr)
                 self.range_report = rr
                 if self.trace is not None:

@@ -51,21 +51,31 @@ class TestJoin:
 
 class TestFPState:
     def test_absent_stack_slot_is_unknown(self):
-        st = FPState((FTOP,) * 16, ())
+        st = FPState((FTOP,) * 16, {})
         assert st.stack_get(("s", 0x400000, -8)) is FTOP
 
     def test_join_drops_one_sided_slots(self):
         key = ("s", 0x400000, -8)
-        a = FPState((FTOP,) * 16, ((key, Rng(1.0, 1.0, 0.0)),))
-        b = FPState((FTOP,) * 16, ())
+        a = FPState((FTOP,) * 16, {key: Rng(1.0, 1.0, 0.0)})
+        b = FPState((FTOP,) * 16, {})
         assert a.join(b).stack_get(key) is FTOP
+        assert b.join(a).stack_get(key) is FTOP
         j = a.join(a)
         assert j.stack_get(key) == Rng(1.0, 1.0, 0.0)
 
+    def test_join_returns_self_when_nothing_moves(self):
+        key = ("s", 0x400000, -8)
+        a = FPState((FTOP,) * 16, {key: Rng(0.0, 2.0, 0.0)})
+        b = FPState((FTOP,) * 16, {key: Rng(1.0, 1.0, 0.0)})
+        assert a.join(b) is a
+        assert a.join(b, widen=True) is a
+        assert b.join(a) is not b
+
     def test_storing_unknown_erases(self):
         key = ("s", 0x400000, -8)
-        st = FPState((FTOP,) * 16, ((key, Rng(1.0, 1.0, 0.0)),))
-        assert st.stack_set(key, FTOP).stack == ()
+        st = FPState((FTOP,) * 16, {key: Rng(1.0, 1.0, 0.0)})
+        assert st.stack_set(key, FTOP).stack == {}
+        assert st.stack == {key: Rng(1.0, 1.0, 0.0)}  # copy, not mutate
 
 
 # --------------------------------------------------------------------------- #

@@ -178,71 +178,6 @@ def test_jit_roundtrip(benchmark):
     assert fpvm.stats.boxes_elided > 400
 
 
-#: lorenz-style inner loop, printf-free inside the loop: machine-only
-#: execution with no FPVM handler, so the tracing JIT's optimizing
-#: emitter applies (FP inlined in the float domain)
-_TRACE_LOOP_SRC = """
-long main() {
-    double x = 1.0;
-    double y = 1.0;
-    double z = 1.0;
-    double h = 0.01;
-    double dx = 0.0;
-    double dy = 0.0;
-    double dz = 0.0;
-    for (long i = 0; i < 2000; i = i + 1) {
-        dx = 10.0 * (y - x);
-        dy = x * (28.0 - z) - y;
-        dz = x * y - 2.6666666666666665 * z;
-        x = x + h * dx;
-        y = y + h * dy;
-        z = z + h * dz;
-    }
-    printf("%.17g %.17g %.17g\\n", x, y, z);
-    return 0;
-}
-"""
-
-
-def test_trace_predecode_lorenz(benchmark):
-    """The lorenz inner loop on the plain predecode interpreter —
-    the baseline of the trace-JIT speedup ratio."""
-    state = {}
-
-    def setup():
-        state["m"] = load_binary(compile_source(_TRACE_LOOP_SRC))
-        return (), {}
-
-    benchmark.pedantic(lambda: state["m"].run(), setup=setup, rounds=5)
-    benchmark.extra_info["instr_count"] = state["m"].instr_count
-    assert state["m"].exit_code == 0
-
-
-def test_trace_jit_lorenz(benchmark):
-    """The same loop with the tracing JIT attached: the hot loop is
-    trace-compiled to one Python function after 8 back edges."""
-    from repro.fpvm.tracejit import TraceJIT
-
-    state = {}
-
-    def setup():
-        m = load_binary(compile_source(_TRACE_LOOP_SRC))
-        state["tj"] = TraceJIT(m, 8)
-        state["tj"].attach()
-        state["m"] = m
-        return (), {}
-
-    benchmark.pedantic(lambda: state["m"].run(), setup=setup, rounds=5)
-    tj = state["tj"]
-    benchmark.extra_info["trace_hits"] = tj.stats.trace_hits
-    benchmark.extra_info["trace_deopts"] = tj.stats.trace_deopts
-    benchmark.extra_info["trace_side_exits"] = tj.stats.trace_side_exits
-    assert state["m"].exit_code == 0
-    assert tj.stats.trace_loops_compiled >= 1
-    assert any(info.mode == "opt" for info in tj.traces.values())
-    assert tj.stats.trace_hits > 1900
-
-
 def test_gc_scan_speed(benchmark):
     """Vectorized conservative scan over 1 MiB of writable memory."""
     from repro.fpvm.gc import ConservativeGC

@@ -25,9 +25,6 @@ WATCHED = (
     ("predecode_instrs_per_sec", True),
     ("trap_roundtrip_ns", False),
     ("jit_roundtrip_ns", False),
-    # tracing JIT: lorenz-inner-loop speedup over plain predecode —
-    # metrics missing from older-schema baselines are skipped
-    ("trace_jit_speedup", True),
     # analysis precision: installed correctness traps and the fraction
     # that never fire — a jump means the refinement lost ground
     ("patched_site_count", False),

@@ -22,12 +22,6 @@ trajectory this repo cares about:
   patched sites absorb on the whole-program FP loop
 * ``fp_loop_jit_speedup`` — whole-program FP-loop speedup with the
   JIT on vs. pure trap-servicing (fused kernels + boxing elision)
-* ``trace_jit_speedup`` — lorenz-inner-loop speedup of the tracing
-  JIT (hot loop exec-compiled to one Python function) over the plain
-  predecode interpreter
-* ``trace_deopt_rate`` — deopts per trace iteration on that bench
-  (0 on the healthy path; deopt paths are covered by the property
-  suite's chaos plans)
 * ``gc_scan_words_per_sec`` — conservative GC scan rate
 * ``gc_incremental_words_per_epoch`` — words rescanned per epoch by
   the incremental collector at steady state (dirty pages only)
@@ -60,10 +54,11 @@ trajectory this repo cares about:
 The output file is schema-versioned (``"schema": 6``): it keeps a
 ``records`` list, one appended entry per invocation, so the perf
 trajectory across PRs stays in the file.  Schema 3 added the
-``trace_jit_speedup`` / ``trace_deopt_rate`` metrics, schema 4 the
-batched-execution metrics, schema 5 the serving-tier metrics,
-schema 6 the sanitizer metrics; records from older schemas are
-carried over unchanged.
+``trace_jit_speedup`` / ``trace_deopt_rate`` metrics (no longer
+measured: they timed an optimizing trace emitter that has since been
+deleted), schema 4 the batched-execution metrics, schema 5 the
+serving-tier metrics, schema 6 the sanitizer metrics; records from
+older schemas are carried over unchanged.
 
 Usage:  python benchmarks/run_benchmarks.py [--seed-baseline N]
                                             [--batch-lanes N]
@@ -145,13 +140,6 @@ def distill(data: dict) -> dict:
     out["fp_loop_jit_speedup"] = lt / lj if lt and lj else None
     pre, leg = out["predecode_instrs_per_sec"], out["legacy_instrs_per_sec"]
     out["predecode_speedup"] = pre / leg if pre and leg else None
-    tp, tj = (mean("test_trace_predecode_lorenz"),
-              mean("test_trace_jit_lorenz"))
-    out["trace_jit_speedup"] = tp / tj if tp and tj else None
-    hits = extra("test_trace_jit_lorenz", "trace_hits")
-    deopts = extra("test_trace_jit_lorenz", "trace_deopts")
-    out["trace_deopt_rate"] = (deopts / hits if hits and deopts is not None
-                               else (0.0 if hits else None))
     return out
 
 

@@ -218,8 +218,7 @@ class FPVM:
                 and self.mode == "trap-and-emulate"
                 and getattr(machine, "_blocks", None) is not None):
             from repro.fpvm.tracejit import TraceJIT
-            self.tracejit = TraceJIT(
-                machine, self.config.trace_jit_threshold, fpvm=self)
+            self.tracejit = TraceJIT(self, self.config.trace_jit_threshold)
             self.tracejit.attach()
 
     def apply_analysis(self, report) -> None:

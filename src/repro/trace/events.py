@@ -312,9 +312,9 @@ class TraceRecordEvent(TraceEvent):
 class TraceCompileEvent(TraceEvent):
     """A loop trace compiled, invalidated, or retired.
 
-    ``mode`` is ``"opt"`` (machine-only optimizing emitter: registers
-    and loop-carried FP values live in Python locals) or ``"chain"``
-    (general fallback replaying the recorded interpreter steps).
+    ``mode`` is always ``"chain"`` (the recorded instructions replayed
+    through the live step table); the field stays so saved traces keep
+    their shape.
     ``action`` is ``"compile"``, ``"invalidate"`` (fault / patch /
     deopt storm tore the trace down; ``reason`` says why), or
     ``"retire"`` (runtime detached with the trace still live —
@@ -325,7 +325,7 @@ class TraceCompileEvent(TraceEvent):
 
     header: int = 0
     length: int = 0
-    mode: str = "opt"
+    mode: str = "chain"
     action: str = "compile"      # "compile" | "invalidate" | "retire"
     hits: int = 0
     deopts: int = 0

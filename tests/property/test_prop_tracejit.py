@@ -2,29 +2,28 @@
 must be observationally identical to plain interpretation.
 
 The contract (``repro.fpvm.tracejit``): with the trace JIT enabled, a
-run produces the same stdout, exit code, dynamic instruction count,
-and FP instruction count as the same run with it disabled, for every
-arithmetic — including under fault-injection plans whose degradations
-invalidate traces mid-run and force the deopt paths.  (Modeled cycles
-are summed in batches inside a trace, so the float totals may differ
-in the last ulps; they are not part of the observational contract.)
+run produces the same stdout, exit code, dynamic instruction and FP
+instruction counts, FP and correctness traps, modeled cycles and cycle
+buckets, and final register file as the same run with it disabled, for
+every arithmetic — with the trap-site JIT on as well, and under
+fault-injection plans whose degradations invalidate traces mid-run and
+force the deopt paths.
 """
 
 import pytest
 
 from repro.faults import FaultPlan, FaultRule
 from repro.fpvm.runtime import FPVMConfig
-from repro.fpvm.tracejit import TraceJIT
-from repro.machine.loader import load_binary
 from repro.session import Session
-from repro.workloads import get_workload
 
 ARITHS = ["vanilla", "mpfr:64", "posit:32:2"]
 WORKLOADS = ["lorenz", "fbench", "three_body"]
 
 
 def _observed(res):
-    return (res.stdout, res.exit_code, res.instr_count, res.fp_instr_count)
+    return (res.stdout, res.exit_code, res.instr_count, res.fp_instr_count,
+            res.fp_traps, res.correctness_traps, res.cycles, res.final_regs,
+            res.buckets)
 
 
 def _pair(name, arith, *, threshold=3, **cfg):
@@ -38,7 +37,7 @@ def _pair(name, arith, *, threshold=3, **cfg):
 
 
 # --------------------------------------------------------------------------- #
-# registry workloads × arithmetics (chain mode: FPVM handler installed)        #
+# registry workloads × arithmetics                                             #
 # --------------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("arith", ARITHS)
@@ -51,9 +50,14 @@ def test_workload_tracejit_identical(name, arith):
     assert stats.trace_hits > 0
 
 
-def test_composes_with_trap_site_jit():
-    """Both JITs enabled at once stay observationally identical."""
-    off, on = _pair("lorenz", "mpfr:64", jit_threshold=2)
+@pytest.mark.parametrize("jit_threshold", [2, 4])
+@pytest.mark.parametrize("name",
+                         ["lorenz", "fbench", "three_body", "numbugs_sum"])
+def test_composes_with_trap_site_jit(name, jit_threshold):
+    """Both JITs enabled at once stay observationally identical: a site
+    the trap-site JIT compiles after a trace was recorded is replayed
+    through its compiled step, not the trapping one."""
+    off, on = _pair(name, "mpfr:64", jit_threshold=jit_threshold)
     assert _observed(on) == _observed(off)
     stats = on.fpvm.stats
     assert stats.trace_loops_compiled > 0
@@ -64,96 +68,39 @@ def test_composes_with_trap_site_jit():
 # fault plans that force the deopt / invalidation paths                        #
 # --------------------------------------------------------------------------- #
 
+def _emulate_faults(seed):
+    return FaultPlan(seed=seed, rules=(
+        FaultRule(stage="emulate", probability=0.15, max_fires=None),))
+
+
+# each fault-plan test runs with the trap-site JIT off and on: compiled
+# sites take the injector's emulate faults through their own exit path
+
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_identical_under_fault_plan(seed):
-    plan = FaultPlan(seed=seed, rules=(
-        FaultRule(stage="emulate", probability=0.15, max_fires=None),))
-    off, on = _pair("lorenz", "vanilla", faults=plan)
-    assert _observed(on) == _observed(off)
+    for jit_threshold in (0, 4):
+        off, on = _pair("lorenz", "vanilla", faults=_emulate_faults(seed),
+                        jit_threshold=jit_threshold)
+        assert _observed(on) == _observed(off), jit_threshold
 
 
 def test_fault_plan_exercises_deopt():
     """An unlimited emulate-fault plan degrades instructions inside the
     traced loop: the degradation ladder must invalidate the trace and
     the in-flight iteration must deopt — with identical output."""
-    plan = FaultPlan(seed=11, rules=(
-        FaultRule(stage="emulate", probability=0.15, max_fires=None),))
-    off, on = _pair("lorenz", "vanilla", faults=plan)
-    assert _observed(on) == _observed(off)
-    stats = on.fpvm.stats
-    assert stats.trace_deopts > 0
-    assert stats.trace_invalidations > 0
+    for jit_threshold in (0, 4):
+        off, on = _pair("lorenz", "vanilla", faults=_emulate_faults(11),
+                        jit_threshold=jit_threshold)
+        assert _observed(on) == _observed(off), jit_threshold
+        stats = on.fpvm.stats
+        assert stats.trace_deopts > 0
+        assert stats.trace_invalidations > 0
 
 
 def test_zero_rule_plan_matches_no_injector():
     plan = FaultPlan(seed=7)
-    off, on = _pair("lorenz", "mpfr:64", faults=plan)
-    assert _observed(on) == _observed(off)
-    assert on.fpvm.stats.trace_loops_compiled > 0
-
-
-# --------------------------------------------------------------------------- #
-# machine-only traces (opt mode: no FPVM handler, FP inlined as floats)        #
-# --------------------------------------------------------------------------- #
-
-def _native_pair(name, *, threshold=3):
-    spec = get_workload(name)
-    off = load_binary(spec.build("test"))
-    off.run()
-    on = load_binary(spec.build("test"))
-    tj = TraceJIT(on, threshold)
-    tj.attach()
-    on.run()
-    return off, on, tj
-
-
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_machine_only_identical(name):
-    off, on, tj = _native_pair(name)
-    assert "".join(on.stdout) == "".join(off.stdout)
-    assert on.exit_code == off.exit_code
-    assert on.instr_count == off.instr_count
-    assert on.fp_instr_count == off.fp_instr_count
-    assert on.regs.gpr == off.regs.gpr
-    assert tj.stats.trace_loops_compiled > 0
-    assert tj.stats.trace_hits > 0
-
-
-def test_machine_only_register_file_identical():
-    """Full architectural state (GPRs, XMM lanes, flags) must match
-    after a run whose hot loop executed inside compiled traces."""
-    off, on, tj = _native_pair("lorenz")
-    for i in range(len(off.regs.xmm)):
-        assert tuple(on.regs.xmm[i]) == tuple(off.regs.xmm[i])
-    for f in ("zf", "sf", "of", "cf", "pf"):
-        assert getattr(on.regs, f) == getattr(off.regs, f)
-
-
-def test_opt_mode_emitted_for_fp_loop():
-    """A printf-free FP loop (machine-only) must get the optimizing
-    emitter, not the chain fallback — that is where the speedup lives."""
-    from repro.compiler import compile_source
-
-    src = """
-    long main() {
-        double x = 1.5;
-        double acc = 0.0;
-        for (long i = 0; i < 300; i = i + 1) {
-            x = x * 0.99 + 0.03;
-            acc = acc + x;
-        }
-        printf("%.17g\\n", acc);
-        return 0;
-    }
-    """
-    off = load_binary(compile_source(src))
-    off.run()
-    on = load_binary(compile_source(src))
-    tj = TraceJIT(on, 8)
-    tj.attach()
-    on.run()
-    assert "".join(on.stdout) == "".join(off.stdout)
-    assert on.instr_count == off.instr_count
-    assert on.fp_instr_count == off.fp_instr_count
-    assert tj.stats.trace_loops_compiled >= 1
-    assert any(info.mode == "opt" for info in tj.traces.values())
+    for jit_threshold in (0, 4):
+        off, on = _pair("lorenz", "mpfr:64", faults=plan,
+                        jit_threshold=jit_threshold)
+        assert _observed(on) == _observed(off), jit_threshold
+        assert on.fpvm.stats.trace_loops_compiled > 0

@@ -231,11 +231,18 @@ class TestSweepVsTraceRecording:
 
         return load_binary(asm_program(body))
 
-    def test_note_sweep_aborts_only_inflight_recording(self):
-        from repro.fpvm.tracejit import TraceJIT
+    @staticmethod
+    def _traced(m):
+        """Install an FPVM with the trace JIT on; return the tracer."""
+        from repro.arith import VanillaArithmetic
+        from repro.fpvm.runtime import FPVM, FPVMConfig
 
-        m = self._loop_machine()
-        tj = TraceJIT(m, threshold=4)
+        fpvm = FPVM(VanillaArithmetic(), FPVMConfig(trace_jit_threshold=4))
+        fpvm.install(m)
+        return fpvm.tracejit
+
+    def test_note_sweep_aborts_only_inflight_recording(self):
+        tj = self._traced(self._loop_machine())
         tj.note_sweep([1, 2])               # idle: nothing to abort
         assert tj._abort_reason is None
         tj._recording = True
@@ -246,11 +253,8 @@ class TestSweepVsTraceRecording:
         """A step that triggers a sweep mid-recording aborts that
         recording; three strikes blacklist the loop, and the program
         still completes with the interpreter's exact result."""
-        from repro.fpvm.tracejit import TraceJIT
-
         m = self._loop_machine(n=64)
-        tj = TraceJIT(m, threshold=4)
-        tj.attach()
+        tj = self._traced(m)
         # make one loop-body step behave like it swept live handles
         addr = next(a for a, ins in m.binary.text_map.items()
                     if ins.mnemonic == "dec")

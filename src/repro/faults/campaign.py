@@ -83,8 +83,7 @@ def run_campaign(cells, *, jobs: int | None = None,
                  timeout_s: float | None = 120.0,
                  retries: int = 1) -> list[CellResult]:
     """Run a chaos matrix under full crash isolation."""
-    return run_matrix(cells, jobs, timeout_s=timeout_s, retries=retries,
-                      capture_errors=True)
+    return run_matrix(cells, jobs, timeout_s=timeout_s, retries=retries)
 
 
 def _outcome(res: CellResult) -> str:

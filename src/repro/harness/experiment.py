@@ -4,18 +4,20 @@ evaluation section needs.
 The module also provides the parallel experiment matrix: every cell of
 the workload × arithmetic × platform sweep is an independent,
 deterministic simulation, so :func:`run_matrix` fans the cells out over
-a ``multiprocessing`` pool (``fork`` start method; falls back to a
-serial loop on single-CPU hosts or when forking is unavailable).
-Cells and their results are plain picklable data — a
+the crash-isolated :class:`~repro.harness.pool.WorkerPool` (the same
+pool the serving tier runs on), or loops serially in-process for
+``jobs <= 1``.  Cells and their results are plain picklable data — a
 :class:`RunResult` holds live machine/FPVM objects and cannot cross a
-process boundary, so workers distill each run into a
-:class:`CellResult` in-process.
+process boundary, so :func:`run_contained`, the one containment
+wrapper for guest runs, distills each run into a :class:`CellResult`
+in the process that ran it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from repro.errors import ReproError
 from repro.machine.costmodel import PLATFORMS, R815
 from repro.machine.cpu import Machine
 from repro.fpvm.runtime import FPVM, FPVMConfig
@@ -202,66 +204,48 @@ def _make_session(cell: MatrixCell):
                    predecode=cell.predecode, label=cell.label, **inputs)
 
 
-def _distill(cell: MatrixCell, res) -> CellResult:
-    """RunResult (live objects) → CellResult (plain picklable data)."""
-    out = CellResult(
-        cell=cell,
-        stdout=res.stdout,
-        exit_code=res.exit_code,
-        instr_count=res.instr_count,
-        fp_instr_count=res.fp_instr_count,
-        fp_traps=res.fp_traps,
-        correctness_traps=res.correctness_traps,
-        cycles=res.cycles,
-        buckets=dict(res.buckets),
-        wall_s=res.wall_s,
-        fig9=(res.fpvm.stats.fig9_breakdown(res.machine)
-              if res.fpvm is not None else None),
-    )
-    if res.fpvm is not None:
-        out.decode_cache_hit_rate = res.fpvm.decode_cache.hit_rate
-        out.bind_cache_hit_rate = res.fpvm.bind_cache.hit_rate
-        st = res.fpvm.stats
-        out.degradations = (st.degradations
-                            + res.fpvm.gc.sweeps_skipped
-                            + res.fpvm.emulator.corrupted_boxes)
-        out.sites_short_circuited = st.sites_short_circuited
-        if res.fpvm.injector is not None:
-            out.faults_fired = dict(res.fpvm.injector.fired)
-            out.fault_occurrences = dict(res.fpvm.injector.occurrences)
-    return out
+def run_contained(cell: MatrixCell, make_session,
+                  **crash_tags) -> CellResult:
+    """Run the session ``make_session()`` builds and distill it into a
+    plain-data :class:`CellResult`, containing any exception.
 
-
-def run_cell(cell: MatrixCell) -> CellResult:
-    """Worker entry point: run one cell and distill the result.
-
-    Module-level (not a closure) so a ``multiprocessing`` pool can
-    pickle it; all statistics that need live machine/FPVM objects are
-    computed here, inside the worker.
+    A guest that dies — while its session is built or while it runs —
+    yields ``error`` plus structured crash records (tagged with
+    ``crash_tags``, e.g. the serving tier's ``job_id``/``tenant``) and
+    the partial counters its machine reached, instead of unwinding into
+    the worker.  Every statistic that needs live machine/FPVM objects
+    is computed here, inside the process that ran the guest.
     """
-    session = _make_session(cell)
-    res = session.run(cell.max_instructions, max_cycles=cell.max_cycles)
-    return _distill(cell, res)
-
-
-def run_cell_guarded(cell: MatrixCell) -> CellResult:
-    """Like :func:`run_cell`, but a dying cell is contained: any
-    exception becomes ``CellResult.error`` plus structured crash
-    records instead of unwinding into (and killing) the pool worker."""
     from repro.faults.crashreport import build_crash_report
 
     session = None
     try:
-        session = _make_session(cell)
+        session = make_session()
         res = session.run(cell.max_instructions, max_cycles=cell.max_cycles)
-        return _distill(cell, res)
+        out = CellResult(
+            cell=cell,
+            stdout=res.stdout,
+            exit_code=res.exit_code,
+            instr_count=res.instr_count,
+            fp_instr_count=res.fp_instr_count,
+            fp_traps=res.fp_traps,
+            correctness_traps=res.correctness_traps,
+            cycles=res.cycles,
+            buckets=dict(res.buckets),
+            wall_s=res.wall_s,
+            fig9=(res.fpvm.stats.fig9_breakdown(res.machine)
+                  if res.fpvm is not None else None),
+        )
+        if res.fpvm is not None:
+            out.decode_cache_hit_rate = res.fpvm.decode_cache.hit_rate
+            out.bind_cache_hit_rate = res.fpvm.bind_cache.hit_rate
     except Exception as exc:  # noqa: BLE001 - containment is the point
         machine = session.machine if session is not None else None
-        fpvm = session.fpvm if session is not None else None
         ring = (session.trace if session is not None
                 and hasattr(session.trace, "events") else None)
-        records = build_crash_report(exc, machine, fpvm, ring=ring,
-                                     cell=cell, label=cell.label)
+        records = build_crash_report(
+            exc, machine, session.fpvm if session is not None else None,
+            ring=ring, cell=cell, label=cell.label, **crash_tags)
         out = CellResult(
             cell=cell,
             stdout=("".join(machine.stdout) if machine is not None else ""),
@@ -277,117 +261,33 @@ def run_cell_guarded(cell: MatrixCell) -> CellResult:
             error_type=type(exc).__name__,
             crash_records=records,
         )
-        if fpvm is not None:
-            st = fpvm.stats
-            out.degradations = (st.degradations + fpvm.gc.sweeps_skipped
-                                + fpvm.emulator.corrupted_boxes)
-            out.sites_short_circuited = st.sites_short_circuited
-            if fpvm.injector is not None:
-                out.faults_fired = dict(fpvm.injector.fired)
-                out.fault_occurrences = dict(fpvm.injector.occurrences)
-        return out
+    fpvm = session.fpvm if session is not None else None
+    if fpvm is not None:
+        st = fpvm.stats
+        out.degradations = (st.degradations + fpvm.gc.sweeps_skipped
+                            + fpvm.emulator.corrupted_boxes)
+        out.sites_short_circuited = st.sites_short_circuited
+        if fpvm.injector is not None:
+            out.faults_fired = dict(fpvm.injector.fired)
+            out.fault_occurrences = dict(fpvm.injector.occurrences)
+    return out
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def run_cell(cell: MatrixCell, job_id: int = 0) -> CellResult:
+    """Run one cell under crash containment (see :func:`run_contained`).
 
-
-def run_matrix(cells, jobs: int | None = None, *,
-               timeout_s: float | None = None,
-               retries: int = 0,
-               capture_errors: bool = True) -> list[CellResult]:
-    """Run every cell, fanning out over processes when it pays off.
-
-    Results come back in input order.  Each cell is a deterministic,
-    independent simulation, so the fan-out is bit-identical to the
-    serial loop.  ``jobs`` defaults to ``REPRO_JOBS`` or the CPU
-    count; anything ≤ 1 (or any pool failure, e.g. a platform without
-    ``fork``) runs serially.
-
-    Crash isolation: with ``capture_errors`` (the default) a cell that
-    raises — or whose worker dies, or that exceeds the per-cell
-    ``timeout_s`` wall-clock limit — yields a :class:`CellResult` with
-    ``error`` set instead of aborting the whole matrix.  Failed or
-    timed-out cells are retried up to ``retries`` times, each round on
-    a fresh pool so a wedged worker cannot poison its successors.
+    This is also the matrix's :class:`~repro.harness.pool.WorkerPool`
+    job function; the pool's ``job_id`` is unused, since crash records
+    are labelled by ``cell.label``.
     """
-    cells = list(cells)
-    worker = run_cell_guarded if capture_errors else run_cell
-    n = jobs if jobs is not None else _default_jobs()
-    n = min(n, len(cells))
-    if n > 1:
-        try:
-            results = _run_matrix_pooled(cells, worker, n,
-                                         timeout_s=timeout_s,
-                                         retries=retries,
-                                         capture_errors=capture_errors)
-            if results is not None:
-                return results
-        except (ImportError, ValueError, OSError):
-            pass  # no fork on this platform / resources: run serial
-    results = [worker(c) for c in cells]
-    if capture_errors and retries > 0:
-        for i, res in enumerate(results):
-            attempt = 0
-            while res.error is not None and attempt < retries:
-                attempt += 1
-                res = worker(cells[i])
-                res.retries = attempt
-            results[i] = res
-    return results
+    return run_contained(cell, lambda: _make_session(cell))
 
 
-def _run_matrix_pooled(cells, worker, n, *, timeout_s, retries,
-                       capture_errors) -> list[CellResult] | None:
-    """Pool fan-out with per-cell timeouts and per-round isolation.
-
-    Returns ``None`` when a pool cannot be created at all (caller
-    falls back to the serial loop).  Each retry round gets a fresh
-    pool: a cell whose worker hung past ``timeout_s`` leaves its
-    zombie behind when the round's pool is terminated, so later
-    rounds start clean.
-    """
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    results: list[CellResult | None] = [None] * len(cells)
-    pending = list(range(len(cells)))
-    for round_no in range(retries + 1):
-        if not pending:
-            break
-        failed: list[int] = []
-        with ctx.Pool(processes=min(n, len(pending))) as pool:
-            handles = [(i, pool.apply_async(worker, (cells[i],)))
-                       for i in pending]
-            for i, handle in handles:
-                try:
-                    res = handle.get(timeout_s)
-                except mp.TimeoutError:
-                    if not capture_errors:
-                        raise
-                    res = _timeout_result(cells[i], timeout_s)
-                except Exception as exc:  # worker died mid-cell
-                    if not capture_errors:
-                        raise
-                    res = _worker_death_result(cells[i], exc)
-                res.retries = round_no
-                results[i] = res
-                if res.error is not None:
-                    failed.append(i)
-            pool.terminate()
-        pending = failed if round_no < retries else []
-    return [r for r in results if r is not None] \
-        if all(r is not None for r in results) else None
-
-
-def _empty_error_result(cell: MatrixCell, error_type: str,
-                        message: str) -> CellResult:
+def _failed_cell(cell: MatrixCell, error_type: str,
+                 message: str) -> CellResult:
+    """The pool's result for a cell whose worker never returned one."""
+    if error_type == "JobTimeout":
+        error_type = "CellTimeout"
     return CellResult(
         cell=cell, stdout="", exit_code=-1, instr_count=0,
         fp_instr_count=0, fp_traps=0, correctness_traps=0, cycles=0,
@@ -397,13 +297,52 @@ def _empty_error_result(cell: MatrixCell, error_type: str,
     )
 
 
-def _timeout_result(cell: MatrixCell, timeout_s: float) -> CellResult:
-    return _empty_error_result(
-        cell, "CellTimeout",
-        f"cell exceeded {timeout_s:g}s wall-clock timeout")
+def _default_jobs() -> int:
+    env = os.environ.get("REPRO_JOBS")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ReproError(
+            f"REPRO_JOBS must be an integer, got {env!r}") from None
 
 
-def _worker_death_result(cell: MatrixCell, exc: Exception) -> CellResult:
-    return _empty_error_result(
-        cell, type(exc).__name__,
-        f"worker died before returning a result: {exc}")
+def run_matrix(cells, jobs: int | None = None, *,
+               timeout_s: float | None = None,
+               retries: int = 0) -> list[CellResult]:
+    """Run every cell, fanning out over worker processes when ``jobs``
+    (default: ``REPRO_JOBS`` or the CPU count) is above 1.
+
+    Results come back in input order.  Each cell is a deterministic,
+    independent simulation, so the fan-out matches the serial loop
+    field for field (all but ``wall_s`` and ``retries``).
+
+    Crash isolation: a cell that raises yields a :class:`CellResult`
+    with ``error`` set instead of aborting the matrix.  On the
+    :class:`~repro.harness.pool.WorkerPool` a cell whose worker dies,
+    or that runs longer than ``timeout_s`` after dispatch (its worker
+    is SIGKILLed), is retried up to ``retries`` times; a contained
+    exception is deterministic and returns at once.  The serial loop
+    (``jobs <= 1``) runs in-process, so it has no timeout and nothing
+    to retry.
+    """
+    cells = list(cells)
+    n = min(jobs if jobs is not None else _default_jobs(), len(cells))
+    if n <= 1:
+        return [run_cell(c) for c in cells]
+    from repro.harness.pool import JobRecord, WorkerPool
+
+    pool = WorkerPool(n, run_cell, _failed_cell, job_timeout_s=timeout_s,
+                      retries=retries)
+    records = [JobRecord(i, cell) for i, cell in enumerate(cells)]
+    pool.start()
+    try:
+        for rec in records:
+            pool.submit(rec)
+        results = [rec.wait() for rec in records]
+    finally:
+        pool.stop()
+    for rec, res in zip(records, results):
+        res.retries = rec.attempts - 1
+    return results

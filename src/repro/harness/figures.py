@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 from repro.machine.costmodel import PLATFORMS, Platform, R815
 from repro.arith.bigfloat import BigFloatArithmetic, BigFloatContext
+from repro.errors import ReproError
 from repro.fpvm.runtime import FPVMConfig
-from repro.harness.experiment import MatrixCell, run_matrix, slowdown
+from repro.harness.experiment import (CellResult, MatrixCell, run_matrix,
+                                      slowdown)
 from repro.session import Session
 from repro.workloads import WORKLOADS
 
@@ -22,6 +24,20 @@ FIG9_CODES = ("miniaero", "enzo", "lorenz", "nas_cg", "fbench", "three_body")
 #: rows of Fig. 12 (ours have one size each — "Class T")
 FIG12_CODES = ("fbench", "lorenz", "three_body", "miniaero", "nas_is",
                "nas_ep", "nas_cg", "nas_mg", "nas_lu", "enzo")
+
+
+def _matrix_data(cells, jobs: int | None) -> list[CellResult]:
+    """``run_matrix`` results as figure data: a failed cell has no
+    counters worth plotting, so it stops the figure by name."""
+    results = run_matrix(cells, jobs=jobs)
+    for res in results:
+        if res.error is not None:
+            c = res.cell
+            arith = ":".join(str(x) for x in (c.arith or ("native",)))
+            raise ReproError(
+                f"cell {c.workload}/{arith}/{c.platform} failed: "
+                f"{res.error_type}: {res.error}")
+    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -40,7 +56,7 @@ def fig9_trap_cost(codes=FIG9_CODES, size: str = "bench",
                         arith=("mpfr", precision), platform=platform.name)
              for name in codes]
     rows: dict[str, dict[str, float]] = {}
-    for cell, res in zip(cells, run_matrix(cells, jobs=jobs)):
+    for cell, res in zip(cells, _matrix_data(cells, jobs)):
         breakdown = dict(res.fig9)
         breakdown["decode_cache_hit_rate"] = res.decode_cache_hit_rate
         breakdown["bind_cache_hit_rate"] = res.bind_cache_hit_rate
@@ -164,7 +180,7 @@ def fig12_slowdowns(codes=FIG12_CODES, size: str = "bench",
             cells.append(MatrixCell(workload=name, size=size,
                                     arith=("mpfr", precision),
                                     platform=pname))
-    results = run_matrix(cells, jobs=jobs)
+    results = _matrix_data(cells, jobs)
     by_key = {(r.cell.workload, r.cell.platform, r.cell.arith is None): r
               for r in results}
     rows: dict[str, dict[str, float]] = {}

@@ -11,14 +11,17 @@ never take the daemon with it:
 * :mod:`repro.serve.jobs`   — the validated job protocol (wire JSON ↔
   :class:`JobRequest`) and the result-cache key;
 * :mod:`repro.serve.worker` — the in-worker executor: one job runs in
-  one pool process with :func:`run_cell_guarded`-style containment
-  (typed watchdogs, structured crash records tagged ``job_id``/
-  ``tenant``) and warm analysis-cache reuse across requests;
-* :mod:`repro.serve.pool`   — the worker-pool scheduler: per-job
-  process isolation, per-job timeout → SIGKILL → bounded retry with
-  exponential backoff on a fresh worker (the ``run_matrix`` retry
-  discipline), and a reaper that respawns crashed workers without
-  losing queued jobs;
+  one pool process under
+  :func:`~repro.harness.experiment.run_contained`, the containment
+  wrapper every matrix cell also runs under (typed watchdogs,
+  structured crash records tagged ``job_id``/``tenant``), with warm
+  analysis-cache reuse across requests;
+* :class:`JobRecord`/:class:`WorkerPool` — re-exported from
+  :mod:`repro.harness.pool`, the one crash-isolated process pool (the
+  experiment matrix runs on it too): per-job process isolation,
+  per-job timeout → SIGKILL → bounded retry with exponential backoff
+  on a fresh worker, and a reaper that respawns crashed workers
+  without losing queued jobs;
 * :mod:`repro.serve.cache`  — result caching keyed on
   (:meth:`Binary.content_hash`, normalized arith spec, guest inputs),
   extending the analysis report cache one level up;
@@ -42,7 +45,7 @@ table).
 
 from repro.serve.jobs import JobError, JobRequest
 from repro.serve.cache import ResultCache
-from repro.serve.pool import JobRecord, WorkerPool
+from repro.harness.pool import JobRecord, WorkerPool
 from repro.serve.daemon import Daemon, ServeConfig, start_in_thread
 from repro.serve.chaos import ChaosMonkey, ServeChaosPlan
 from repro.serve.client import ServeClient, generate_load

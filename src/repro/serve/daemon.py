@@ -2,7 +2,7 @@
 
 A single asyncio event loop owns admission and the (hand-rolled,
 stdlib-only) HTTP/1.1 front end; all guest execution happens in the
-:class:`~repro.serve.pool.WorkerPool`'s processes, bridged back to the
+:class:`~repro.harness.pool.WorkerPool`'s processes, bridged back to the
 loop with ``call_soon_threadsafe``.  The admission ladder runs, in
 order, for every ``POST /jobs``:
 
@@ -32,6 +32,7 @@ live.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import threading
@@ -39,9 +40,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.harness.pool import JobRecord, WorkerPool
 from repro.serve.cache import ResultCache
-from repro.serve.jobs import JobError, JobRequest
-from repro.serve.pool import JobRecord, WorkerPool
+from repro.serve.jobs import JobError, JobRequest, error_result
+from repro.serve.worker import execute_job
 from repro.trace.events import ServeJobEvent, ServeShedEvent
 from repro.trace.profiler import ProfilerSink
 
@@ -74,7 +76,8 @@ class Daemon:
         self.config = config or ServeConfig()
         self.profiler = ProfilerSink()
         self.cache = ResultCache(self.config.cache_entries)
-        self.pool = WorkerPool(self.config.workers,
+        self.pool = WorkerPool(self.config.workers, execute_job,
+                               error_result,
                                job_timeout_s=self.config.job_timeout_s,
                                retries=self.config.retries,
                                backoff_s=self.config.backoff_s,
@@ -161,33 +164,33 @@ class Daemon:
                                       from_arith=requested))
             req = req.shed_to_vanilla()
             shed = True
-        rec = JobRecord(job_id, req,
-                        timeout_s=self.config.job_timeout_s,
-                        max_retries=self.config.retries,
-                        backoff_s=self.config.backoff_s)
-        rec.shed = shed
-        rec.requested_arith = requested
+        rec = JobRecord(job_id, req)
         with self._books_lock:
             self.accepted += 1
             self._inflight[job_id] = rec
-        rec.add_done_callback(self._on_done)
+        rec.add_done_callback(functools.partial(
+            self._on_done, shed=shed, requested_arith=requested))
         self.pool.submit(rec)
         return rec
 
-    def _on_done(self, rec: JobRecord) -> None:
-        """Pool-side completion: bookkeeping, cache fill, telemetry."""
+    def _on_done(self, rec: JobRecord, *, shed: bool,
+                 requested_arith: str) -> None:
+        """Pool-side completion: bookkeeping, cache fill, telemetry.
+
+        ``shed``/``requested_arith`` record whether admission demoted
+        the job's arith spec, and from what."""
+        req = rec.payload
         result = dict(rec.result or {})
         wall_ms = (time.perf_counter() - rec.submitted_at) * 1e3
         result.update(
             job_id=rec.id,
-            tenant=rec.tenant,
-            shed=rec.shed,
-            requested_arith=rec.requested_arith,
+            tenant=req.tenant,
+            shed=shed,
+            requested_arith=requested_arith,
             wall_ms=wall_ms,
             cached=False,
+            retries=max(rec.attempts - 1, 0),
         )
-        result.setdefault("retries", max(rec.attempts - 1, 0))
-        req = rec.request
         if result.get("ok") and result.get("binary_hash") \
                 and not req.trace and not req.no_cache and not req.chaos:
             self._hash_hints[req.binary_key] = result["binary_hash"]
@@ -209,9 +212,9 @@ class Daemon:
                    else "timeout" if result.get("error_type") == "JobTimeout"
                    else "error")
         self._emit(ServeJobEvent(
-            job_id=rec.id, tenant=rec.tenant,
+            job_id=rec.id, tenant=req.tenant,
             workload=req.workload or "<source>",
-            arith=req.arith_text, outcome=outcome, shed=rec.shed,
+            arith=req.arith_text, outcome=outcome, shed=shed,
             cached=False, retries=result["retries"], wall_ms=wall_ms,
             queue_depth=self.pool.backlog))
 
@@ -358,7 +361,7 @@ class Daemon:
         rec = self._admit(req)
         if "wait=false" in query:
             return 202, {"job_id": rec.id, "pending": True,
-                         "shed": rec.shed}
+                         "shed": rec.payload.arith != req.arith}
         result = await self._await_record(rec)
         if result is None:  # only on daemon-side await failure
             return 500, {"error": "job did not complete",

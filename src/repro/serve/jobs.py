@@ -191,9 +191,10 @@ class JobRequest:
                 self.max_instructions, self.max_cycles)
 
 
-def error_result(error_type: str, message: str, *,
-                 crash_records: list | None = None) -> dict:
-    """A result dict for a job that never produced a run."""
+def error_result(req: JobRequest, error_type: str, message: str) -> dict:
+    """A result dict for a job whose worker never returned one (the
+    serving tier's :class:`~repro.harness.pool.WorkerPool` failure
+    factory)."""
     return {
         "ok": False,
         "stdout": "",
@@ -206,9 +207,9 @@ def error_result(error_type: str, message: str, *,
         "degradations": 0,
         "sites_short_circuited": 0,
         "binary_hash": "",
-        "arith": "",
+        "arith": req.arith_text,
         "error": message,
         "error_type": error_type,
-        "crash_records": crash_records or [],
+        "crash_records": [],
         "trace_ndjson": None,
     }

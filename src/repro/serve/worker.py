@@ -1,12 +1,12 @@
 """The in-worker job executor.
 
 Runs inside a pool worker process: one :class:`JobRequest` in, one
-JSON-safe result dict out, *never* an exception — the same containment
-discipline as :func:`~repro.harness.experiment.run_cell_guarded`.  A
-guest binary that dies yields a result with ``error`` set plus
-structured crash records tagged with the job's ``job_id``/``tenant``;
-only a hard process death (chaos SIGKILL, ``os._exit``) escapes, and
-that is the pool tender's problem, not ours.
+JSON-safe result dict out, *never* an exception.  Containment is
+:func:`~repro.harness.experiment.run_contained`, the same wrapper every
+matrix cell runs under: a guest binary that dies yields a result with
+``error`` set plus structured crash records tagged with the job's
+``job_id``/``tenant``; only a hard process death (chaos SIGKILL,
+``os._exit``) escapes, and that is the pool tender's problem, not ours.
 
 Warm reuse across requests: workers are long-lived processes, so the
 process-wide analysis report cache (keyed on
@@ -22,7 +22,7 @@ import io
 import os
 import time
 
-from repro.serve.jobs import JobRequest, error_result
+from repro.serve.jobs import JobRequest
 
 
 def _chaos(req: JobRequest) -> None:
@@ -39,88 +39,51 @@ def _chaos(req: JobRequest) -> None:
         raise RuntimeError("injected serve-tier fault")
 
 
-def execute_job(req: JobRequest, *, job_id: int = 0,
-                tenant: str = "") -> dict:
+def execute_job(req: JobRequest, *, job_id: int = 0) -> dict:
     """Run one job to completion inside this worker process."""
     from repro.compiler import compile_source
-    from repro.faults.crashreport import build_crash_report
+    from repro.harness.experiment import MatrixCell, run_contained
     from repro.session import Session
     from repro.trace.sinks import NDJSONSink
 
+    cell = MatrixCell(req.workload, size=req.size, arith=req.arith,
+                      max_instructions=req.max_instructions,
+                      max_cycles=req.max_cycles, stdin=req.stdin,
+                      params=req.params, label=f"job{job_id}")
+    buf = io.StringIO() if req.trace else None
     session = None
-    sink = None
-    buf: io.StringIO | None = None
-    try:
+
+    def make_session():
+        nonlocal session
         _chaos(req)
-        if req.trace:
-            buf = io.StringIO()
-            sink = NDJSONSink(buf)
-        if req.workload:
-            target = req.workload
-        else:
-            source = req.source
-            target = lambda: compile_source(source)  # noqa: E731
-        session = Session(
-            target,
-            req.arith,
-            size=req.size,
-            trace=sink,
-            stdin=req.stdin,
-            params=dict(req.params),
-            label=f"job{job_id}",
-        )
-        res = session.run(req.max_instructions,
-                          max_cycles=req.max_cycles)
-        out = {
-            "ok": True,
-            "stdout": res.stdout,
-            "exit_code": res.exit_code,
-            "instr_count": res.instr_count,
-            "fp_instr_count": res.fp_instr_count,
-            "fp_traps": res.fp_traps,
-            "correctness_traps": res.correctness_traps,
-            "cycles": res.cycles,
-            "degradations": 0,
-            "sites_short_circuited": 0,
-            "binary_hash": session.binary.content_hash(),
-            "arith": req.arith_text,
-            "error": None,
-            "error_type": "",
-            "crash_records": [],
-            "trace_ndjson": None,
-        }
-        if res.fpvm is not None:
-            st = res.fpvm.stats
-            out["degradations"] = (st.degradations
-                                   + res.fpvm.gc.sweeps_skipped
-                                   + res.fpvm.emulator.corrupted_boxes)
-            out["sites_short_circuited"] = st.sites_short_circuited
-        if sink is not None:
-            session.close()
-            session = None
-            out["trace_ndjson"] = buf.getvalue()
-        return out
-    except Exception as exc:  # noqa: BLE001 - containment is the point
-        machine = session.machine if session is not None else None
-        fpvm = session.fpvm if session is not None else None
-        records = build_crash_report(exc, machine, fpvm,
-                                     label=f"job{job_id}",
-                                     job_id=job_id, tenant=tenant)
-        out = error_result(type(exc).__name__, str(exc),
-                           crash_records=records)
-        if machine is not None:
-            out.update(
-                stdout="".join(machine.stdout),
-                instr_count=machine.instr_count,
-                fp_instr_count=machine.fp_instr_count,
-                fp_traps=machine.fp_trap_count,
-                correctness_traps=machine.correctness_trap_count,
-                cycles=machine.cost.cycles,
-            )
-        if session is not None:
-            out["binary_hash"] = session.binary.content_hash()
-            out["arith"] = req.arith_text
-        return out
-    finally:
-        if session is not None:
-            session.close()
+        target = req.workload or (lambda: compile_source(req.source))
+        session = Session(target, req.arith, size=req.size,
+                          trace=NDJSONSink(buf) if buf is not None else None,
+                          stdin=req.stdin, params=dict(req.params),
+                          label=cell.label)
+        return session
+
+    res = run_contained(cell, make_session, job_id=job_id,
+                        tenant=req.tenant)
+    if session is not None:
+        session.close()
+    ok = res.error is None
+    return {
+        "ok": ok,
+        "stdout": res.stdout,
+        "exit_code": res.exit_code,
+        "instr_count": res.instr_count,
+        "fp_instr_count": res.fp_instr_count,
+        "fp_traps": res.fp_traps,
+        "correctness_traps": res.correctness_traps,
+        "cycles": res.cycles,
+        "degradations": res.degradations,
+        "sites_short_circuited": res.sites_short_circuited,
+        "binary_hash": (session.binary.content_hash()
+                        if session is not None else ""),
+        "arith": req.arith_text,
+        "error": res.error,
+        "error_type": res.error_type,
+        "crash_records": res.crash_records,
+        "trace_ndjson": buf.getvalue() if ok and buf is not None else None,
+    }

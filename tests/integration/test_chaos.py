@@ -1,5 +1,6 @@
 """End-to-end chaos campaigns: survival, determinism, crash isolation."""
 
+import dataclasses
 import json
 
 from repro.faults import (FaultPlan, FaultRule, chaos_cells, run_campaign,
@@ -89,11 +90,31 @@ class TestMatrixIsolation:
         assert "emulate" in cell_rec["fault_plan"]
 
     def test_serial_and_pooled_agree(self):
+        # every CellResult field but host wall time and the retry count
         cells = chaos_cells(["lorenz"], [("vanilla",)], seed=0,
-                            stages=("emulate",), size="test")
+                            stages=("emulate", "decode"), size="test")
+        assert [c.label for c in cells] == ["control", "emulate", "decode"]
         serial = run_matrix(cells, jobs=1)
         pooled = run_matrix(cells, jobs=2)
+        assert len(pooled) == len(cells)
         for a, b in zip(serial, pooled):
-            assert a.stdout == b.stdout
-            assert a.cycles == b.cycles
-            assert a.faults_fired == b.faults_fired
+            for f in dataclasses.fields(a):
+                if f.name in ("wall_s", "retries", "crash_records"):
+                    continue
+                assert getattr(a, f.name) == getattr(b, f.name), \
+                    (a.cell.label, f.name)
+            assert ([r["kind"] for r in a.crash_records]
+                    == [r["kind"] for r in b.crash_records])
+
+    def test_timeout_counts_from_dispatch(self):
+        # two cells that overrun the deadline (nas_cg S under MPFR runs
+        # for many seconds) hold both workers; the cell queued behind
+        # them must still get its own full deadline once dispatched
+        slow = MatrixCell("nas_cg", size="S", arith=("mpfr", 200),
+                          label="slow")
+        quick = MatrixCell("lorenz", size="test", arith=("vanilla",),
+                           label="quick")
+        results = run_matrix([slow, slow, quick], jobs=2, timeout_s=2.0,
+                             retries=0)
+        assert [r.error_type for r in results[:2]] == ["CellTimeout"] * 2
+        assert results[2].error is None and results[2].exit_code == 0

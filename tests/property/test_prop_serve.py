@@ -12,8 +12,8 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.jobs import JobRequest
-from repro.serve.pool import JobRecord, WorkerPool
+from repro.harness.pool import JobRecord, WorkerPool
+from repro.serve.jobs import JobRequest, error_result
 from repro.serve.worker import execute_job
 
 POOL_SIZE = 3
@@ -59,16 +59,15 @@ def test_chaos_kills_never_lose_or_duplicate_jobs(jobs, kills,
     for ref in reference:
         assert ref["ok"], ref["error"]
 
-    pool = WorkerPool(POOL_SIZE, job_timeout_s=60.0, retries=4,
-                      backoff_s=0.01)
+    pool = WorkerPool(POOL_SIZE, execute_job, error_result,
+                      job_timeout_s=60.0, retries=4, backoff_s=0.01)
     pool.start()
     completions: dict[int, int] = {}
     count_lock = threading.Lock()
     try:
         records = []
         for i, req in enumerate(requests):
-            rec = JobRecord(i + 1, req, timeout_s=60.0, max_retries=4,
-                            backoff_s=0.01)
+            rec = JobRecord(i + 1, req)
 
             def count(r, _i=i):
                 with count_lock:

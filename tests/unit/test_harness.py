@@ -4,8 +4,10 @@ import pytest
 
 from repro.arith import VanillaArithmetic
 from repro.compiler import compile_source
+from repro.errors import ReproError
 from repro.fpvm.stats import FPVMStats
-from repro.harness.experiment import slowdown
+from repro.harness import figures
+from repro.harness.experiment import _default_jobs, slowdown
 from repro.fpvm.runtime import FPVMConfig
 from repro.session import Session
 from repro.harness.platforms import PLATFORMS
@@ -103,6 +105,30 @@ class TestFPVMStats:
         assert row["total"] == pytest.approx(sum(
             v for k, v in row.items() if k != "total"))
         assert row["hardware overhead"] <= plat.hw_trap_cycles
+
+
+class TestFiguresRejectFailedCells:
+    def test_fig9_names_the_failed_cell(self):
+        with pytest.raises(ReproError, match=r"no_such/mpfr:200/R815 "
+                           r"failed: KeyError: .*unknown workload"):
+            figures.fig9_trap_cost(codes=("no_such",), size="test", jobs=1)
+
+    def test_fig12_names_the_failed_native_cell(self):
+        with pytest.raises(ReproError, match=r"no_such/native/R815 "
+                           r"failed: KeyError"):
+            figures.fig12_slowdowns(codes=("no_such",), size="test",
+                                    platforms=("R815",), jobs=1)
+
+
+class TestDefaultJobs:
+    def test_repro_jobs_sets_the_pool_size(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert _default_jobs() == 3
+
+    def test_malformed_repro_jobs_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "four")
+        with pytest.raises(ReproError, match="REPRO_JOBS.*'four'"):
+            _default_jobs()
 
 
 class TestAsmConvenience:

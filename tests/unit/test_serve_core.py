@@ -11,7 +11,7 @@ import pytest
 from repro.faults.crashreport import build_crash_report, write_crash_report
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import VANILLA, JobError, JobRequest
-from repro.serve.pool import JobRecord
+from repro.harness.pool import JobRecord
 from repro.trace.events import (EVENT_KINDS, ServeJobEvent, ServeShedEvent,
                                 ServeWorkerEvent, event_from_dict)
 from repro.trace.profiler import ProfilerSink
@@ -140,8 +140,7 @@ class TestResultCache:
 class TestJobRecord:
     def _rec(self):
         req = JobRequest.from_wire({"workload": "lorenz"})
-        return JobRecord(1, req, timeout_s=1.0, max_retries=0,
-                         backoff_s=0.01)
+        return JobRecord(1, req)
 
     def test_first_complete_wins(self):
         rec = self._rec()

@@ -499,6 +499,7 @@ def cmd_sanitize(args) -> int:
                   f"{len(rr.checkable)} sites divergence-free "
                   f"({100 * rr.prove_rate:.1f}%), {len(rr.exact)} "
                   f"bit-exact", file=err)
+        if scfg.exempt:
             mode = "aggressive" if args.exempt_aggressive else "bit-exact"
             print(f"  exempt executions  : {stats.sanitize_exempt_execs} "
                   f"({mode} exemption)", file=err)

@@ -8,11 +8,14 @@ that demote boxes back to IEEE doubles before re-executing:
 
 * :mod:`repro.analysis.si`      — strided-interval abstract values
 * :mod:`repro.analysis.domain`  — registers/a-locs value-set domain
+  (values are flat tagged tuples, compared and hashed in C)
 * :mod:`repro.analysis.cfg`     — control-flow recovery over a Binary
 * :mod:`repro.analysis.vsa`     — worklist value-set analysis (each
   instruction is its own basic block, as in the paper) with k=1
-  call-string contexts, accumulating memory *source* (FP store) and
-  candidate *sink* (int load) events
+  call-string contexts; each instruction is compiled once into a
+  transfer closure, and one recording pass over the converged states
+  collects the memory *source* (FP store) and candidate *sink* (int
+  load) events
 * :mod:`repro.analysis.sources_sinks` — classification of sinks
 * :mod:`repro.analysis.liveness` — box-liveness refinement: prunes
   sinks whose loaded words are strongly overwritten by integer stores

@@ -11,6 +11,12 @@ An abstract value is one of
   at call site ``site`` (one summarized region per site)
 * ``TOP`` — anything
 
+``Num``, ``StackAddr`` and ``HeapAddr`` are flat tuples ``(kind,
+region, si)`` whose first field tags the region kind (``Num``'s region
+is 0), so equality and hashing run in C and values of different kinds
+or regions never compare equal.  ``BOTTOM`` and ``TOP`` are singletons
+compared by identity.
+
 A-locs (abstract memory cells, 8-byte granularity):
 
 * ``("g", addr)`` — a global data word
@@ -25,29 +31,72 @@ to enumerate), or TOP (unknown pointer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from repro.analysis.si import SI
+from repro.analysis.si import (SI, si_add, si_const, si_join, si_neg,
+                               si_widen)
+
+_new = tuple.__new__
 
 
 # --------------------------------------------------------------------------- #
 # abstract values                                                              #
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True, slots=True)
-class Num:
-    si: SI
+#: region-kind tags: the first field of every address-like value, so a
+#: ``Num`` never equals a ``StackAddr`` or ``HeapAddr`` with the same
+#: fields
+NUM, STACK, HEAP = 0, 1, 2
 
 
-@dataclass(frozen=True, slots=True)
-class StackAddr:
-    fn: int  # function entry address (region identity)
-    si: SI   # offset(s) relative to entry rsp
+class _Value(tuple):
+    """``(kind, region, si)``; subclasses fix the ``kind`` tag."""
+
+    __slots__ = ()
+
+    def __new__(cls, region: int, si: SI):
+        return _new(cls, (cls.kind, region, si))
+
+    def __getnewargs__(self):
+        return (self[1], self[2])
+
+    si = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self[1]:#x}, {self[2]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class HeapAddr:
-    site: int  # allocating call-site address
-    si: SI
+class Num(_Value):
+    """``(NUM, 0, si)``: a plain number or a global address."""
+
+    __slots__ = ()
+
+    def __new__(cls, si: SI) -> "Num":
+        return _new(cls, (NUM, 0, si))
+
+    def __getnewargs__(self):
+        return (self[2],)
+
+    def __repr__(self) -> str:
+        return f"Num({self[2]!r})"
+
+
+class StackAddr(_Value):
+    """``(STACK, fn, si)``: offset(s) relative to the entry rsp of
+    function ``fn`` (the region identity)."""
+
+    __slots__ = ()
+    kind = STACK
+    fn = property(itemgetter(1))
+
+
+class HeapAddr(_Value):
+    """``(HEAP, site, si)``: an address into the object allocated at
+    call site ``site``."""
+
+    __slots__ = ()
+    kind = HEAP
+    site = property(itemgetter(1))
 
 
 class _Top:
@@ -77,12 +126,8 @@ def join_vals(a: AbsVal, b: AbsVal) -> AbsVal:
         return a
     if a is TOP or b is TOP:
         return TOP
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.si.join(b.si))
-    if isinstance(a, StackAddr) and isinstance(b, StackAddr) and a.fn == b.fn:
-        return StackAddr(a.fn, a.si.join(b.si))
-    if isinstance(a, HeapAddr) and isinstance(b, HeapAddr) and a.site == b.site:
-        return HeapAddr(a.site, a.si.join(b.si))
+    if a[0] == b[0] and a[1] == b[1]:  # same kind, same region
+        return _new(type(a), (a[0], a[1], si_join(a[2], b[2])))
     return TOP
 
 
@@ -93,12 +138,8 @@ def widen_vals(a: AbsVal, b: AbsVal) -> AbsVal:
         return a
     if a is TOP or b is TOP:
         return TOP
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.si.widen(b.si))
-    if isinstance(a, StackAddr) and isinstance(b, StackAddr) and a.fn == b.fn:
-        return StackAddr(a.fn, a.si.widen(b.si))
-    if isinstance(a, HeapAddr) and isinstance(b, HeapAddr) and a.site == b.site:
-        return HeapAddr(a.site, a.si.widen(b.si))
+    if a[0] == b[0] and a[1] == b[1]:
+        return _new(type(a), (a[0], a[1], si_widen(a[2], b[2])))
     return TOP
 
 
@@ -108,13 +149,10 @@ def add_val(a: AbsVal, b: AbsVal) -> AbsVal:
         return BOTTOM
     if a is TOP or b is TOP:
         return TOP
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.si.add(b.si))
-    for addr, num in ((a, b), (b, a)):
-        if isinstance(addr, StackAddr) and isinstance(num, Num):
-            return StackAddr(addr.fn, addr.si.add(num.si))
-        if isinstance(addr, HeapAddr) and isinstance(num, Num):
-            return HeapAddr(addr.site, addr.si.add(num.si))
+    if b[0] == NUM:  # number + number, or address + offset
+        return _new(type(a), (a[0], a[1], si_add(a[2], b[2])))
+    if a[0] == NUM:  # offset + address
+        return _new(type(b), (b[0], b[1], si_add(b[2], a[2])))
     return TOP
 
 
@@ -123,9 +161,8 @@ def sub_val(a: AbsVal, b: AbsVal) -> AbsVal:
         return BOTTOM
     if a is TOP or b is TOP:
         return TOP
-    if isinstance(b, Num):
-        neg = Num(b.si.neg())
-        return add_val(a, neg)
+    if b[0] == NUM:
+        return add_val(a, _new(Num, (NUM, 0, si_neg(b[2]))))
     return TOP
 
 
@@ -168,9 +205,12 @@ def resolve_access(val: AbsVal, size: int = 8) -> AccessSet:
         return AccessSet()
     if val is TOP:
         return AccessSet.anywhere()
-    if isinstance(val, Num):
-        si = val.si
-        if si.top:
+    kind, region, si = val
+    if kind == HEAP:
+        return AccessSet(frozenset({("h", region)}))
+    lo, hi, _, top = si
+    if kind == NUM:
+        if top:
             return AccessSet.anywhere()
         if si.count <= _ENUM_LIMIT:
             alocs = frozenset(
@@ -179,24 +219,19 @@ def resolve_access(val: AbsVal, size: int = 8) -> AccessSet:
                 for w in range(a & ~7, ((a + size - 1) & ~7) + 1, 8)
             )
             return AccessSet(alocs)
-        return AccessSet(ranges=(("gr", si.lo, si.hi + size - 1),))
-    if isinstance(val, StackAddr):
-        si = val.si
-        if si.top:
-            # unknown offset within one frame: summarize as a range
-            return AccessSet(ranges=(("sr", val.fn, -(1 << 32), 1 << 32),))
-        if si.count <= _ENUM_LIMIT:
-            alocs = frozenset(
-                ("s", val.fn, w)
-                for o in si.values()
-                for w in range(o - (o % 8),
-                               (o + size - 1) - ((o + size - 1) % 8) + 1, 8)
-            )
-            return AccessSet(alocs)
-        return AccessSet(ranges=(("sr", val.fn, si.lo, si.hi + size - 1),))
-    if isinstance(val, HeapAddr):
-        return AccessSet(frozenset({("h", val.site)}))
-    return AccessSet.anywhere()  # pragma: no cover
+        return AccessSet(ranges=(("gr", lo, hi + size - 1),))
+    if top:
+        # unknown offset within one frame: summarize as a range
+        return AccessSet(ranges=(("sr", region, -(1 << 32), 1 << 32),))
+    if si.count <= _ENUM_LIMIT:
+        alocs = frozenset(
+            ("s", region, w)
+            for o in si.values()
+            for w in range(o - (o % 8),
+                           (o + size - 1) - ((o + size - 1) % 8) + 1, 8)
+        )
+        return AccessSet(alocs)
+    return AccessSet(ranges=(("sr", region, lo, hi + size - 1),))
 
 
 # --------------------------------------------------------------------------- #
@@ -210,40 +245,38 @@ _TRACKED = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
 CALLER_SAVED = ("rax", "rcx", "rdx", "rsi", "rdi", "r8", "r9", "r10", "r11")
 
 
-@dataclass(frozen=True, slots=True)
-class RegState:
-    """Immutable map register → abstract value (hash-consed by dict)."""
+class RegState(tuple):
+    """Immutable register file: one abstract value per tracked GPR, in
+    ``_TRACKED`` order (index it with :data:`REG_INDEX`)."""
 
-    regs: tuple  # tuple of AbsVal aligned with _TRACKED
+    __slots__ = ()
+
+    def __new__(cls, regs) -> "RegState":
+        return _new(cls, regs)
+
+    @property
+    def regs(self) -> tuple:
+        return tuple(self)
 
     @staticmethod
     def bottom() -> "RegState":
-        return RegState(tuple(BOTTOM for _ in _TRACKED))
+        return RegState(BOTTOM for _ in _TRACKED)
 
     @staticmethod
     def entry(fn: int, base: "RegState | None" = None) -> "RegState":
         """State at a function entry: rsp = StackAddr(fn, 0)."""
         st = base if base is not None else RegState.top_state()
-        return st.set("rsp", StackAddr(fn, SI.const(0)))
+        return st.set("rsp", StackAddr(fn, si_const(0)))
 
     @staticmethod
     def top_state() -> "RegState":
-        return RegState(tuple(TOP for _ in _TRACKED))
+        return RegState(TOP for _ in _TRACKED)
 
     def get(self, name: str) -> AbsVal:
-        return self.regs[_IDX[name]]
+        return self[REG_INDEX[name]]
 
     def set(self, name: str, val: AbsVal) -> "RegState":
-        i = _IDX[name]
-        regs = list(self.regs)
-        regs[i] = val
-        return RegState(tuple(regs))
-
-    def havoc(self, names) -> "RegState":
-        regs = list(self.regs)
-        for n in names:
-            regs[_IDX[n]] = TOP
-        return RegState(tuple(regs))
+        return set_reg(self, REG_INDEX[name], val)
 
     def join(self, other: "RegState") -> "RegState":
         return self._combine(other, join_vals)
@@ -252,8 +285,15 @@ class RegState:
         return self._combine(other, widen_vals)
 
     def _combine(self, other: "RegState", op) -> "RegState":
-        regs = combine_pointwise(self.regs, other.regs, op)
-        return self if regs is self.regs else RegState(regs)
+        regs = combine_pointwise(self, other, op)
+        return self if regs is self else _new(RegState, regs)
+
+
+def set_reg(regs: RegState, i: int, val: AbsVal) -> RegState:
+    """``regs`` with register number ``i`` set to ``val``."""
+    out = list(regs)
+    out[i] = val
+    return _new(RegState, out)
 
 
 def combine_pointwise(mine: tuple, theirs: tuple, op) -> tuple:
@@ -273,4 +313,5 @@ def combine_pointwise(mine: tuple, theirs: tuple, op) -> tuple:
     return mine if out is None else tuple(out)
 
 
-_IDX = {name: i for i, name in enumerate(_TRACKED)}
+#: tracked register name -> index into a :class:`RegState`
+REG_INDEX = {name: i for i, name in enumerate(_TRACKED)}

@@ -970,7 +970,8 @@ def validate_sanitize_exemptions(target, *, size: str = "test",
                           exempt=False)
     sess = Session(target, ("sanitize", precision), size=size,
                    config=FPVMConfig(sanitize=scfg), label="sanitize-gate")
-    rr = analyze_ranges(sess.binary, threshold=threshold)
+    # the Session's range pass reused its patcher's converged VSA
+    rr = sess.range_report
     sess.run()
     san = sess.fpvm.sanitizer
 

@@ -4,10 +4,10 @@ Flow-sensitive register + current-frame-stack states per instruction;
 flow-insensitive (monotone) classification of memory into FP-written
 and int-read cells.  Two phases:
 
-1. the abstract interpreter runs to fixpoint, recording for every
-   instruction the *access sets* of its memory reads and writes and
-   the kind of each access (FP store = source, integer load = sink
-   candidate, …);
+1. the abstract interpreter runs to fixpoint, then one recording pass
+   over the converged states records for every instruction the
+   *access sets* of its memory reads and writes and the kind of each
+   access (FP store = source, integer load = sink candidate, …);
 2. :mod:`repro.analysis.sources_sinks` intersects the accumulated FP
    write set with each integer-load access set to decide which
    candidates are true sinks.
@@ -27,20 +27,37 @@ each call site gets its own copy of the callee's flow, so the
 pointer-into-caller-frame pattern stays precise.  The accumulated
 access tables stay keyed by instruction address (the monotone union
 over contexts is exactly the flow the patcher must cover).
+
+Compiled transfer: on its first visit each text address is resolved,
+once, into a *transfer closure* — the ``fpvm_trap``/``fpvm_patch``
+payload unwrapped, register operands turned into :class:`RegState`
+indices, displacements and immediates prebuilt as abstract values, and
+its successor list looked up — the way :mod:`repro.machine.predecode`
+compiles instructions for the interpreter.  The worklist loop pops a
+key, runs the key's closure and joins the result into the successors.
+The closures run in two modes.  During the fixpoint they compute
+states only: nothing reads the access tables before the recording pass
+rebuilds them, so a load only needs to know whether its address is
+BOTTOM.  The recording pass runs the same closures with recording on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from operator import itemgetter
 
 from repro.isa.instructions import Instruction
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical
 from repro.asm.program import Binary
 from repro.analysis.cfg import CFG
-from repro.analysis.si import SI, SI_TOP
+from repro.analysis.si import (SI_TOP, si_add_const, si_const,
+                               si_div_const, si_mul, si_mul_const,
+                               si_neg, si_range, si_shl_const)
 from repro.analysis.domain import (
     BOTTOM,
+    NUM,
+    REG_INDEX,
     TOP,
     AccessSet,
     HeapAddr,
@@ -51,6 +68,7 @@ from repro.analysis.domain import (
     add_val,
     join_vals,
     resolve_access,
+    set_reg,
     sub_val,
 )
 from repro.analysis.report import AnalysisReport, ReadEvent
@@ -87,36 +105,52 @@ _INT_READERS = frozenset({"mov", "movzx", "movsx", "add", "sub", "and",
 #: ``dict.get`` default telling an absent slot from a stored BOTTOM
 _ABSENT = object()
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class AbsState:
-    """Register state + tracked stack-slot values of the current frame.
+_RAX = REG_INDEX["rax"]
+_RDX = REG_INDEX["rdx"]
+_RSP = REG_INDEX["rsp"]
+_CALLER_SAVED = tuple(REG_INDEX[n] for n in CALLER_SAVED)
+
+#: an integer result the domain cannot bound
+_NUM_TOP = Num(SI_TOP)
+_ZERO = Num(si_const(0))
+
+
+class AbsState(tuple):
+    """Register state + tracked stack-slot values of the current frame:
+    the pair ``(regs, stack)``.
 
     ``stack`` maps a stack a-loc to its value.  The dict is never
     mutated once the state exists — :meth:`stack_set` and :meth:`join`
     copy before they write — so states can share it freely.
     """
 
-    regs: RegState
-    stack: dict  # aloc -> AbsVal
+    __slots__ = ()
+
+    def __new__(cls, regs: RegState, stack: dict) -> "AbsState":
+        return _new(cls, (regs, stack))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    regs = property(itemgetter(0))
+    stack = property(itemgetter(1))  # aloc -> AbsVal
 
     def stack_get(self, key):
         # optimistic: a slot with no recorded store is "no value yet"
         # (BOTTOM); compiled code never reads uninitialized slots, and
         # treating them as TOP would let transient worklist orderings
         # poison the whole analysis (see module docstring)
-        return self.stack.get(key, BOTTOM)
+        return self[1].get(key, BOTTOM)
 
     def stack_set(self, key, val) -> "AbsState":
-        stack = dict(self.stack)
+        stack = dict(self[1])
         stack[key] = val
-        return AbsState(self.regs, stack)
+        return _new(AbsState, (self[0], stack))
 
     def stack_clobber(self) -> "AbsState":
-        return AbsState(self.regs, {})
-
-    def with_regs(self, regs: RegState) -> "AbsState":
-        return AbsState(regs, self.stack)
+        return _new(AbsState, (self[0], {}))
 
     def join(self, other: "AbsState", widen: bool = False) -> "AbsState":
         """Pointwise join; returns ``self`` itself when nothing moved.
@@ -125,25 +159,72 @@ class AbsState:
         ``other`` holds is copied in as is.  Stack slots are joined,
         never widened (only the registers are).
         """
-        regs = (self.regs.widen(other.regs) if widen
-                else self.regs.join(other.regs))
-        stack = mine = self.stack
-        copied = False
-        for k, b in other.stack.items():
-            a = mine.get(k, _ABSENT)
-            if a is b or a == b:
-                continue
-            if a is not _ABSENT:
-                b = join_vals(a, b)
-                if b == a:
+        regs, mine = self
+        other_regs, theirs = other
+        if other_regs is not regs and other_regs != regs:
+            regs = regs.widen(other_regs) if widen else regs.join(other_regs)
+        stack = mine
+        if theirs is not mine:
+            copied = False
+            for k, b in theirs.items():
+                a = mine.get(k, _ABSENT)
+                if a is b or a == b:
                     continue
-            if not copied:
-                stack = dict(mine)
-                copied = True
-            stack[k] = b
-        if regs is self.regs and not copied:
+                if a is not _ABSENT:
+                    b = join_vals(a, b)
+                    if b == a:
+                        continue
+                if not copied:
+                    stack = dict(mine)
+                    copied = True
+                stack[k] = b
+        if stack is mine and regs is self[0]:
             return self
-        return AbsState(regs, stack)
+        return _new(AbsState, (regs, stack))
+
+
+def _stack_aloc(val) -> tuple | None:
+    """Exact 8-byte stack a-loc for a singleton StackAddr, else None."""
+    if type(val) is StackAddr:
+        lo, hi, _, top = val[2]
+        if lo == hi and not top:
+            return ("s", val[1], lo - (lo % 8))
+    return None
+
+
+def _ea_fn(mem: Mem):
+    """Compile a memory operand: a function from a :class:`RegState` to
+    the operand's abstract effective address."""
+    disp = si_const(mem.disp)[0]
+    disp_val = Num(si_const(disp))
+    base = None if mem.base is None else REG_INDEX[canonical(mem.base)]
+
+    def plus_disp(v):  # add_val(v, disp_val): kind and region stay
+        if v is BOTTOM or v is TOP or not disp:
+            return v
+        return _new(type(v), (v[0], v[1], si_add_const(v[2], disp)))
+
+    if mem.index is None:
+        if base is None:
+            return lambda regs: disp_val
+        return lambda regs: plus_disp(regs[base])
+    index = REG_INDEX[canonical(mem.index)]
+    scale = mem.scale
+
+    def ea(regs):
+        v = disp_val if base is None else plus_disp(regs[base])
+        iv = regs[index]
+        if type(iv) is Num:
+            return add_val(v, _new(Num, (NUM, 0, si_mul_const(iv[2], scale))))
+        if iv is BOTTOM or v is BOTTOM:
+            return BOTTOM
+        return TOP
+
+    return ea
+
+
+def _identity(st, work):
+    return st
 
 
 class ValueSetAnalysis:
@@ -161,6 +242,13 @@ class ValueSetAnalysis:
         self.contexts: set[int] = {0}
         self.iterations = 0
         self._ctx = 0
+        #: text address -> (transfer closure, successors or None for a
+        #: call, whose closure returns its own edges)
+        self._compiled: dict[int, tuple] = {}
+        #: Mem operand -> compiled effective-address function
+        self._ea_fns: dict[Mem, object] = {}
+        #: the closures record the access tables (the pass at fixpoint)
+        self._recording = False
 
         # accumulated memory classification (monotone)
         self.writes_fp: dict[int, AccessSet] = {}   # instr -> access set
@@ -175,6 +263,7 @@ class ValueSetAnalysis:
         self.global_vals: dict[tuple, object] = {}
         self.global_readers: dict[tuple, set[tuple[int, int]]] = {}
         self._sym_bounds: list[int] | None = None
+        self._clamped: dict[tuple[int, int], list | None] = {}
         self._poisoned: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------ #
@@ -184,45 +273,58 @@ class ValueSetAnalysis:
         entry = self.binary.entry
         init = AbsState(RegState.entry(entry, RegState.top_state()), {})
         work: list[tuple[int, int]] = []
-        self._merge_in((0, entry), init, work)
+        merge = self._merge_in
+        transfer_for = self._transfer_for
+        states = self.states
+        merge((0, entry), init, work)
         while work:
             key = work.pop()
-            ctx, addr = key
-            state = self.states.get(key)
-            ins = self.binary.text_map.get(addr)
-            if state is None or ins is None:
+            state = states.get(key)
+            compiled = transfer_for(key[1])
+            if state is None or compiled is None:
                 continue
             self.iterations += 1
-            self._ctx = ctx
-            out_states = self._transfer(ins, state, work)
-            for succ_key, succ_state in out_states:
-                self._merge_in(succ_key, succ_state, work)
+            ctx = self._ctx = key[0]
+            transfer, succs = compiled
+            out = transfer(state, work)
+            if succs is None:
+                for succ_key, succ_state in out:
+                    merge(succ_key, succ_state, work)
+            else:
+                for succ in succs:
+                    merge((ctx, succ), out, work)
         self._record_at_fixpoint()
+        # the closures hold bound methods of this analysis: dropping
+        # them breaks the cycle, so the analysis (and every state) is
+        # freed by reference counting as soon as its caller lets go
+        self._compiled.clear()
         return classify(self)
 
     def _record_at_fixpoint(self) -> None:
         """Re-derive the access tables from the converged states only.
 
-        During the fixpoint the tables accumulate *transient*
+        During the fixpoint the tables would accumulate *transient*
         enumerations — a loop index seen as [0..12] on the iteration
         before widening enumerates words past the array it indexes, and
         the monotone tables would keep them forever.  At the fixpoint
         the same access is a widened range that the symbol clamper
         confines to the right a-loc, so one recording pass over the
-        final states yields strictly tighter sources and sinks.
+        final states yields strictly tighter sources and sinks.  The
+        fixpoint itself therefore records nothing.
         """
         self.writes_fp.clear()
         self.writes_int.clear()
         self.write_widths.clear()
         self.reads_int.clear()
         self.reads_fp.clear()
+        self._recording = True
         sink: list = []  # transfer at fixpoint re-queues nothing real
         for (ctx, addr), st in sorted(self.states.items()):
-            ins = self.binary.text_map.get(addr)
-            if ins is None:
+            compiled = self._transfer_for(addr)
+            if compiled is None:
                 continue
             self._ctx = ctx
-            self._transfer(ins, st, sink)
+            compiled[0](st, sink)
 
     def _merge_in(self, key: tuple[int, int], state: AbsState,
                   work: list[tuple[int, int]]) -> None:
@@ -233,35 +335,34 @@ class ValueSetAnalysis:
             return
         count = self.join_counts.get(key, 0) + 1
         self.join_counts[key] = count
-        new = old.join(state, widen=count > _WIDEN_AFTER)
-        if new is not old and new != old:
+        # join returns ``old`` itself exactly when nothing moved
+        new = old.join(state, count > _WIDEN_AFTER)
+        if new is not old:
             self.states[key] = new
             work.append(key)
+
+    def _transfer_for(self, addr: int):
+        """The compiled ``(closure, successors)`` of the instruction at
+        ``addr``, or None outside the text."""
+        compiled = self._compiled.get(addr)
+        if compiled is None:
+            ins = self.binary.text_map.get(addr)
+            if ins is None:
+                return None
+            compiled = self._compiled[addr] = self._compile(ins)
+        return compiled
 
     # ------------------------------------------------------------------ #
     # evaluation helpers                                                  #
     # ------------------------------------------------------------------ #
 
     def _eval_ea(self, mem: Mem, st: AbsState):
-        v = Num(SI.const(mem.disp))
-        if mem.base is not None:
-            v = add_val(st.regs.get(canonical(mem.base)), v)
-        if mem.index is not None:
-            iv = st.regs.get(canonical(mem.index))
-            if isinstance(iv, Num):
-                v = add_val(v, Num(iv.si.mul_const(mem.scale)))
-            elif iv is BOTTOM or v is BOTTOM:
-                v = BOTTOM
-            else:
-                v = TOP
-        return v
-
-    def _access(self, mem: Mem, st: AbsState) -> AccessSet:
-        return resolve_access(self._eval_ea(mem, st), mem.size)
+        fn = self._ea_fns.get(mem)
+        if fn is None:
+            fn = self._ea_fns[mem] = _ea_fn(mem)
+        return fn(st[0])
 
     def _record(self, table: dict, addr: int, acc: AccessSet) -> None:
-        if acc.is_empty():
-            return  # BOTTOM address: path not yet stable, nothing real
         old = table.get(addr)
         if old is None:
             table[addr] = acc
@@ -270,52 +371,55 @@ class ValueSetAnalysis:
                                 tuple(set(old.ranges) | set(acc.ranges)),
                                 old.top or acc.top)
 
-    @staticmethod
-    def _stack_aloc(val) -> tuple | None:
-        """Exact 8-byte stack a-loc for a singleton StackAddr, else None."""
-        if isinstance(val, StackAddr) and val.si.is_const:
-            off = val.si.lo
-            return ("s", val.fn, off - (off % 8))
-        return None
+    _stack_aloc = staticmethod(_stack_aloc)
 
-    def _read_int_value(self, ins: Instruction, mem: Mem, st: AbsState,
-                        width: int):
-        """Model an integer load: record the sink candidate, return the
+    def _load(self, addr: int, ea, size: int, st: AbsState):
+        """Model an integer load from address value ``ea``: return the
         abstract loaded value (precise for tracked stack slots and
-        never-written globals)."""
-        ea = self._eval_ea(mem, st)
-        acc = resolve_access(ea, mem.size)
-        if acc.is_empty():
-            return BOTTOM
-        ev = self.reads_int.get(ins.addr)
-        if ev is None:
-            self.reads_int[ins.addr] = ReadEvent(ins.addr, acc, width)
-        else:
-            merged = AccessSet(ev.access.alocs | acc.alocs,
-                               tuple(set(ev.access.ranges) | set(acc.ranges)),
-                               ev.access.top or acc.top)
-            self.reads_int[ins.addr] = ReadEvent(ins.addr, merged, width)
-        key = self._stack_aloc(ea)
-        if key is not None:
-            return st.stack_get(key)
+        never-written globals); when recording, record the sink
+        candidate."""
+        if ea is BOTTOM:
+            return BOTTOM  # path not yet stable: nothing real to read
+        if self._recording:
+            acc = resolve_access(ea, size)
+            ev = self.reads_int.get(addr)
+            if ev is not None:
+                acc = AccessSet(
+                    ev.access.alocs | acc.alocs,
+                    tuple(set(ev.access.ranges) | set(acc.ranges)),
+                    ev.access.top or acc.top)
+            self.reads_int[addr] = ReadEvent(addr, acc, size)
+        kind = type(ea)
+        if kind is StackAddr:
+            lo, hi, _, top = ea[2]
+            if lo == hi and not top:
+                return st[1].get(("s", ea[1], lo - (lo % 8)), BOTTOM)
+            return TOP
         # global reads: join the (flow-insensitive) tracked values over
         # the words of the data *symbol* the address starts in — value
         # tracking never crosses a-loc (symbol) boundaries, so a read
         # whose index over-approximates past its array cannot absorb
         # unrelated data (e.g. FP constants) into an address value
-        if isinstance(ea, Num) and not ea.si.top:
-            keys = self._clamped_range_alocs(ea.si.lo,
-                                             ea.si.hi + mem.size - 1)
-            if keys is not None:
-                return self._join_global_reads(ins, keys)
+        if kind is Num:
+            lo, hi, _, top = ea[2]
+            if not top:
+                keys = self._clamped_range_alocs(lo, hi + size - 1)
+                if keys is not None:
+                    return self._join_global_reads(addr, keys)
         return TOP
 
-    def _join_global_reads(self, ins: Instruction, keys):
+    def _record_fp_read(self, addr: int, ea, size: int) -> None:
+        if ea is not BOTTOM:
+            self._record(self.reads_fp, addr, resolve_access(ea, size))
+
+    def _join_global_reads(self, addr: int, keys):
         val = BOTTOM
+        reader = (self._ctx, addr)
+        readers = self.global_readers
+        poisoned = self._poisoned
         for gkey in keys:
-            self.global_readers.setdefault(gkey, set()).add(
-                (self._ctx, ins.addr))
-            if self._global_poisoned(gkey[1]):
+            readers.setdefault(gkey, set()).add(reader)
+            if poisoned and self._global_poisoned(gkey[1]):
                 return TOP
             cur = self.global_vals.get(gkey)
             if cur is None:
@@ -328,7 +432,7 @@ class ValueSetAnalysis:
         old = self.global_vals.get(gkey)
         seeded = old if old is not None else self._static_global_value(gkey)
         new = join_vals(seeded, val)
-        if new != seeded or gkey not in self.global_vals:
+        if new != seeded or old is None:
             self.global_vals[gkey] = new
             for reader in self.global_readers.get(gkey, ()):
                 work.append(reader)
@@ -349,26 +453,31 @@ class ValueSetAnalysis:
 
     def _clamped_range_alocs(self, lo: int, hi: int):
         """Clamp [lo, hi] to the data symbol containing ``lo``; return
-        its word a-locs if the clamped extent is small, else None."""
+        its word a-locs if the clamped extent is small, else None.
+        The result depends on the binary only and is memoized (callers
+        must not mutate it)."""
+        try:
+            return self._clamped[lo, hi]
+        except KeyError:
+            pass
         binary = self.binary
         data_end = binary.data_base + len(binary.data)
-        if not (binary.data_base <= lo < data_end):
-            return None
-        if self._sym_bounds is None:
-            self._sym_bounds = sorted(
-                a for a in binary.symbols.values()
-                if binary.data_base <= a < data_end
-            )
-        nxt = data_end
-        for bound in self._sym_bounds:
-            if bound > lo:
-                nxt = bound
-                break
-        hi = min(hi, nxt - 1)
-        base = lo & ~7
-        if (hi - base) // 8 + 1 > 64:
-            return None
-        return [("g", a) for a in range(base, hi + 1, 8)]
+        keys = None
+        if binary.data_base <= lo < data_end:
+            if self._sym_bounds is None:
+                self._sym_bounds = sorted(
+                    a for a in binary.symbols.values()
+                    if binary.data_base <= a < data_end
+                )
+            bounds = self._sym_bounds
+            i = bisect_right(bounds, lo)
+            nxt = bounds[i] if i < len(bounds) else data_end
+            end = min(hi, nxt - 1)
+            base = lo & ~7
+            if (end - base) // 8 + 1 <= 64:
+                keys = [("g", a) for a in range(base, end + 1, 8)]
+        self._clamped[lo, hi] = keys
+        return keys
 
     def _static_global_value(self, gkey):
         addr = gkey[1]
@@ -376,43 +485,53 @@ class ValueSetAnalysis:
         data = self.binary.data
         off = addr - base
         if 0 <= off and off + 8 <= len(data):
-            return Num(SI.const(int.from_bytes(data[off:off + 8], "little")))
+            return Num(si_const(int.from_bytes(data[off:off + 8], "little")))
         return TOP
 
-    def _write_value(self, ins, mem: Mem, st: AbsState, val,
-                     kind: str, work: list) -> AbsState:
-        ea = self._eval_ea(mem, st)
-        acc = resolve_access(ea, mem.size)
-        if acc.is_empty():
+    def _store(self, addr: int, ea, size: int, st: AbsState, val,
+               fp: bool, work: list) -> AbsState:
+        """Model a store of ``val`` to address value ``ea`` (an FP store
+        when ``fp``); when recording, record the access."""
+        if ea is BOTTOM:
             return st  # BOTTOM address: re-analyzed when values arrive
-        self._record(self.writes_fp if kind == "fp" else self.writes_int,
-                     ins.addr, acc)
-        if kind == "int":
-            # minimum width over all flows: the liveness refinement may
-            # treat the store as a strong kill only if every execution
-            # overwrites the full 8-byte word
-            prev = self.write_widths.get(ins.addr)
-            self.write_widths[ins.addr] = (mem.size if prev is None
-                                           else min(prev, mem.size))
-        key = self._stack_aloc(ea)
-        if key is not None:
-            return st.stack_set(key, val)
-        if isinstance(ea, Num) and ea.si.is_const:
-            self._update_global(("g", ea.si.lo & ~7), val, work)
-            return st
-        if isinstance(ea, Num) and not ea.si.top:
-            # non-constant global write: weak-update every word of the
-            # symbol it starts in, or poison the region if unclampable
-            keys = self._clamped_range_alocs(ea.si.lo,
-                                             ea.si.hi + mem.size - 1)
-            if keys is not None:
-                for gkey in keys:
-                    self._update_global(gkey, val, work)
+        if self._recording:
+            acc = resolve_access(ea, size)
+            if fp:
+                self._record(self.writes_fp, addr, acc)
+            else:
+                self._record(self.writes_int, addr, acc)
+                # minimum width over all flows: the liveness refinement
+                # may treat the store as a strong kill only if every
+                # execution overwrites the full 8-byte word
+                prev = self.write_widths.get(addr)
+                self.write_widths[addr] = (size if prev is None
+                                           else min(prev, size))
+        kind = type(ea)
+        if kind is StackAddr:
+            lo, hi, _, top = ea[2]
+            if lo == hi and not top:
+                stack = dict(st[1])
+                stack["s", ea[1], lo - (lo % 8)] = val
+                return _new(AbsState, (st[0], stack))
+        elif kind is Num:
+            lo, hi, _, top = ea[2]
+            if not top:
+                if lo == hi:
+                    self._update_global(("g", lo & ~7), val, work)
+                    return st
+                # non-constant global write: weak-update every word of
+                # the symbol it starts in, or poison the region if
+                # unclampable
+                keys = self._clamped_range_alocs(lo, hi + size - 1)
+                if keys is not None:
+                    for gkey in keys:
+                        self._update_global(gkey, val, work)
+                    return st
+                self._poison_globals(lo, hi + size - 1, work)
                 return st
-            self._poison_globals(ea.si.lo, ea.si.hi + mem.size - 1, work)
-            return st
         # weak update: drop only the tracked stack slots the write may
         # actually touch — global/heap writes never alias the frame
+        acc = resolve_access(ea, size)
         if acc.top:
             # unknown pointer: both the frame and all globals are suspect
             self._poison_globals(None, None, work)
@@ -426,208 +545,338 @@ class ValueSetAnalysis:
         return out
 
     # ------------------------------------------------------------------ #
-    # the transfer function                                               #
+    # compiling the transfer function                                     #
     # ------------------------------------------------------------------ #
 
-    def _transfer(self, ins: Instruction, st: AbsState,
-                  work: list) -> list[tuple[tuple[int, int], AbsState]]:
-        mn = ins.mnemonic
-        if mn in ("fpvm_trap", "fpvm_patch") and ins.payload:
+    def _compile(self, ins: Instruction):
+        """``(closure, successors)`` for one instruction; the closure
+        maps ``(state, work)`` to the out state (for a call: to the
+        list of ``((ctx, addr), state)`` edges)."""
+        if ins.mnemonic in ("fpvm_trap", "fpvm_patch") and ins.payload:
             ins = ins.payload["original"]
-            mn = ins.mnemonic
-        ops = ins.operands
-        succs = self.cfg.succ.get(ins.addr, [])
-        out = st
+        mn = ins.mnemonic
+        if mn == "call":
+            return self._compile_call(ins), None
+        succs = tuple(self.cfg.succ.get(ins.addr, ()))
+        maker = _MAKERS.get(mn)
+        if maker is None:
+            if not ins.info.opclass.name.startswith("FP"):
+                return _identity, succs  # nop, jcc, ret, ...
+            maker = ValueSetAnalysis._compile_fp_op
+        return maker(self, ins, mn, ins.operands), succs
 
-        if mn in ("mov", "movabs", "movzx", "movsx"):
-            dst, src = ops
-            if isinstance(src, Imm):
-                val = Num(SI.const(src.value))
-            elif isinstance(src, Reg):
-                val = st.regs.get(canonical(src.name))
-                if mn in ("movzx", "movsx") and src.size < 8:
-                    val = Num(SI.range(0, (1 << (8 * src.size)) - 1, 1))
+    def _int_operand(self, op, addr: int):
+        """``fn(state)`` giving an integer source operand's value (an
+        integer load for a memory operand)."""
+        if isinstance(op, Imm):
+            val = Num(si_const(op.value))
+            return lambda st: val
+        if isinstance(op, Reg):
+            i = REG_INDEX[canonical(op.name)]
+            return lambda st: st[0][i]
+        ea, size, load = _ea_fn(op), op.size, self._load
+        return lambda st: load(addr, ea(st[0]), size, st)
+
+    def _mem_reads(self, ops, addr: int):
+        """``fn(state)`` running the integer loads of the memory
+        operands among ``ops`` (value discarded), or None."""
+        reads = [(_ea_fn(op), op.size) for op in ops if isinstance(op, Mem)]
+        if not reads:
+            return None
+        load = self._load
+
+        def run_reads(st):
+            for ea, size in reads:
+                load(addr, ea(st[0]), size, st)
+        return run_reads
+
+    def _compile_mov(self, ins, mn, ops):
+        dst, src = ops
+        addr = ins.addr
+        extend = mn in ("movzx", "movsx")
+        if extend and not isinstance(src, Imm) and src.size < 8:
+            # zero/sign extension of a narrow source: the value's range
+            # is known, but a memory source is still a load
+            val = Num(si_range(0, (1 << (8 * src.size)) - 1, 1))
+            reads = self._mem_reads((src,), addr)
+            if reads is None:
+                get = lambda st: val  # noqa: E731
             else:
-                width = src.size
-                val = self._read_int_value(ins, src, st, width)
-                if mn in ("movzx", "movsx") and width < 8:
-                    val = Num(SI.range(0, (1 << (8 * width)) - 1, 1))
-            if isinstance(dst, Reg):
-                if dst.size >= 4:
-                    out = st.with_regs(st.regs.set(canonical(dst.name), val))
-                else:
-                    out = st.with_regs(
-                        st.regs.set(canonical(dst.name), Num(SI_TOP)))
-            else:
-                out = self._write_value(ins, dst, st, val, "int", work)
+                def get(st):
+                    reads(st)
+                    return val
+        else:
+            get = self._int_operand(src, addr)
+        if isinstance(dst, Reg):
+            d = REG_INDEX[canonical(dst.name)]
+            if dst.size >= 4:
+                return lambda st, work: _new(
+                    AbsState, (set_reg(st[0], d, get(st)), st[1]))
 
-        elif mn == "lea":
-            dst, src = ops
-            out = st.with_regs(
-                st.regs.set(canonical(dst.name), self._eval_ea(src, st)))
+            def narrow(st, work):
+                get(st)  # a memory source is still read
+                return _new(AbsState, (set_reg(st[0], d, _NUM_TOP), st[1]))
+            return narrow
+        ea, size, store = _ea_fn(dst), dst.size, self._store
+        return lambda st, work: store(addr, ea(st[0]), size, st, get(st),
+                                      False, work)
 
-        elif mn in ("add", "sub"):
-            dst, src = ops
-            if isinstance(src, Mem):
-                sval = self._read_int_value(ins, src, st, src.size)
-            elif isinstance(src, Imm):
-                sval = Num(SI.const(src.value))
-            else:
-                sval = st.regs.get(canonical(src.name))
-            if isinstance(dst, Reg):
-                cur = st.regs.get(canonical(dst.name))
-                val = add_val(cur, sval) if mn == "add" else sub_val(cur, sval)
-                out = st.with_regs(st.regs.set(canonical(dst.name), val))
-            else:
-                self._read_int_value(ins, dst, st, dst.size)  # RMW read
-                out = self._write_value(ins, dst, st, TOP, "int", work)
+    def _compile_lea(self, ins, mn, ops):
+        dst, src = ops
+        d, ea = REG_INDEX[canonical(dst.name)], _ea_fn(src)
+        return lambda st, work: _new(
+            AbsState, (set_reg(st[0], d, ea(st[0])), st[1]))
 
-        elif mn in ("and", "or", "xor", "imul", "not", "neg", "inc", "dec",
-                    "shl", "shr", "sar", "idiv", "cqo",
-                    "cmove", "cmovne", "cmovl", "cmovg"):
-            out = self._transfer_alu(ins, mn, ops, st, work)
+    def _compile_add_sub(self, ins, mn, ops):
+        dst, src = ops
+        addr = ins.addr
+        get = self._int_operand(src, addr)
+        if isinstance(dst, Reg):
+            d = REG_INDEX[canonical(dst.name)]
+            op = add_val if mn == "add" else sub_val
 
-        elif mn in ("cmp", "test"):
-            for op in ops:
-                if isinstance(op, Mem):
-                    self._read_int_value(ins, op, st, op.size)
+            def add_sub(st, work):
+                sval = get(st)
+                regs = st[0]
+                return _new(AbsState,
+                            (set_reg(regs, d, op(regs[d], sval)), st[1]))
+            return add_sub
+        return self._compile_rmw(ins, dst, self._mem_reads((src,), addr))
 
-        elif mn == "push":
-            (src,) = ops
-            if isinstance(src, Mem):
-                val = self._read_int_value(ins, src, st, src.size)
-            elif isinstance(src, Imm):
-                val = Num(SI.const(src.value))
-            else:
-                val = st.regs.get(canonical(src.name))
-            rsp = add_val(st.regs.get("rsp"), Num(SI.const(-8)))
-            out = st.with_regs(st.regs.set("rsp", rsp))
-            key = self._stack_aloc(rsp)
-            if key is not None:
-                out = out.stack_set(key, val)
+    def _compile_rmw(self, ins, dst: Mem, reads):
+        """Read-modify-write of memory: load, then store an unknown."""
+        addr = ins.addr
+        ea, size, load, store = _ea_fn(dst), dst.size, self._load, self._store
 
-        elif mn == "pop":
-            (dst,) = ops
-            rsp_val = st.regs.get("rsp")
-            key = self._stack_aloc(rsp_val)
-            val = st.stack_get(key) if key is not None else TOP
-            rsp = add_val(rsp_val, Num(SI.const(8)))
-            regs = st.regs.set("rsp", rsp)
-            if isinstance(dst, Reg):
-                regs = regs.set(canonical(dst.name), val)
-            out = st.with_regs(regs)
+        def rmw(st, work):
+            if reads is not None:
+                reads(st)
+            a = ea(st[0])
+            load(addr, a, size, st)
+            return store(addr, a, size, st, TOP, False, work)
+        return rmw
 
-        elif mn == "call":
-            return self._transfer_call(ins, st, work)
-
-        elif mn in _FP_STORES or mn == "movq":
-            out = self._transfer_fp_mov(ins, mn, ops, st, work)
-
-        elif mn in ("xorpd", "andpd", "orpd", "andnpd"):
-            self.bitwise_sites.add(ins.addr)
-            if isinstance(ops[1], Mem):
-                acc = self._access(ops[1], st)
-                self._record(self.reads_fp, ins.addr, acc)
-
-        elif ins.info.opclass.name.startswith("FP"):
-            # trap-capable FP instruction: memory operands are FP reads
-            for op in ops:
-                if isinstance(op, Mem):
-                    self._record(self.reads_fp, ins.addr,
-                                 self._access(op, st))
-                elif isinstance(op, Reg) and mn.startswith("cvt"):
-                    if op is ops[0]:
-                        out = st.with_regs(
-                            st.regs.set(canonical(op.name), Num(SI_TOP)))
-
-        # default: no state change (nop, jcc, ucomisd reg forms, ...)
-        return [((self._ctx, s), out) for s in succs]
-
-    def _transfer_alu(self, ins, mn, ops, st: AbsState,
-                      work) -> AbsState:
+    def _compile_alu(self, ins, mn, ops):
+        addr = ins.addr
         if mn == "cqo":
-            return st.with_regs(st.regs.set("rdx", Num(SI_TOP)))
+            return lambda st, work: _new(
+                AbsState, (set_reg(st[0], _RDX, _NUM_TOP), st[1]))
         if mn == "idiv":
-            if ops and isinstance(ops[0], Mem):
-                divisor = self._read_int_value(ins, ops[0], st, ops[0].size)
-            elif ops and isinstance(ops[0], Reg):
-                divisor = st.regs.get(canonical(ops[0].name))
-            else:
-                divisor = TOP
-            rax = st.regs.get("rax")
-            if (isinstance(divisor, Num) and divisor.si.is_const
-                    and divisor.si.lo != 0 and isinstance(rax, Num)):
-                c = abs(divisor.si.lo)
-                q = Num(rax.si.div_const(divisor.si.lo))
-                r = Num(SI.range(-(c - 1), c - 1, 1))
-                return st.with_regs(st.regs.set("rax", q).set("rdx", r))
-            regs = st.regs.set("rax", Num(SI_TOP)).set("rdx", Num(SI_TOP))
-            return st.with_regs(regs)
+            return self._compile_idiv(ins, ops)
         dst = ops[0]
         if isinstance(dst, Mem):
-            self._read_int_value(ins, dst, st, dst.size)
-            return self._write_value(ins, dst, st, TOP, "int", work)
-        for op in ops[1:]:
-            if isinstance(op, Mem):
-                self._read_int_value(ins, op, st, op.size)
-        name = canonical(dst.name)
-        cur = st.regs.get(name)
+            return self._compile_rmw(ins, dst, None)
+        reads = self._mem_reads(ops[1:], addr)
+        d = REG_INDEX[canonical(dst.name)]
         src = ops[1] if len(ops) > 1 else None
-        if mn == "xor" and isinstance(src, Reg) and \
-                canonical(src.name) == name:
-            return st.with_regs(st.regs.set(name, Num(SI.const(0))))
-        if mn == "shl" and isinstance(src, Imm) and isinstance(cur, Num):
-            return st.with_regs(
-                st.regs.set(name, Num(cur.si.shl_const(src.value))))
-        if mn == "imul" and isinstance(src, Imm) and isinstance(cur, Num):
-            return st.with_regs(
-                st.regs.set(name, Num(cur.si.mul_const(src.value))))
-        if mn == "imul" and isinstance(src, Reg) and isinstance(cur, Num):
-            sval = st.regs.get(canonical(src.name))
-            if isinstance(sval, Num):
-                return st.with_regs(
-                    st.regs.set(name, Num(cur.si.mul(sval.si))))
-        if mn == "neg" and isinstance(cur, Num):
-            return st.with_regs(st.regs.set(name, Num(cur.si.neg())))
-        return st.with_regs(st.regs.set(name, Num(SI_TOP)))
+        if (mn == "xor" and isinstance(src, Reg)
+                and REG_INDEX[canonical(src.name)] == d):
+            result = lambda regs: _ZERO  # noqa: E731
+        elif mn in ("shl", "imul") and isinstance(src, Imm):
+            c = src.value
+            scale = si_shl_const if mn == "shl" else si_mul_const
 
-    def _transfer_fp_mov(self, ins, mn, ops, st: AbsState,
-                         work) -> AbsState:
+            def result(regs):
+                cur = regs[d]
+                if type(cur) is Num:
+                    return _new(Num, (NUM, 0, scale(cur[2], c)))
+                return _NUM_TOP
+        elif mn == "imul" and isinstance(src, Reg):
+            s = REG_INDEX[canonical(src.name)]
+
+            def result(regs):
+                cur, sval = regs[d], regs[s]
+                if type(cur) is Num and type(sval) is Num:
+                    return _new(Num, (NUM, 0, si_mul(cur[2], sval[2])))
+                return _NUM_TOP
+        elif mn == "neg":
+            def result(regs):
+                cur = regs[d]
+                if type(cur) is Num:
+                    return _new(Num, (NUM, 0, si_neg(cur[2])))
+                return _NUM_TOP
+        else:
+            result = lambda regs: _NUM_TOP  # noqa: E731
+
+        def alu(st, work):
+            if reads is not None:
+                reads(st)
+            regs = st[0]
+            return _new(AbsState, (set_reg(regs, d, result(regs)), st[1]))
+        return alu
+
+    def _compile_idiv(self, ins, ops):
+        if ops and isinstance(ops[0], (Mem, Reg)):
+            get = self._int_operand(ops[0], ins.addr)
+        else:
+            get = lambda st: TOP  # noqa: E731
+
+        def idiv(st, work):
+            divisor = get(st)
+            regs = list(st[0])
+            rax = regs[_RAX]
+            q = r = _NUM_TOP
+            if type(divisor) is Num and type(rax) is Num:
+                lo, hi, _, top = divisor[2]
+                if lo == hi and not top and lo != 0:
+                    c = abs(lo)
+                    q = _new(Num, (NUM, 0, si_div_const(rax[2], lo)))
+                    r = _new(Num, (NUM, 0, si_range(-(c - 1), c - 1, 1)))
+            regs[_RAX] = q
+            regs[_RDX] = r
+            return _new(AbsState, (_new(RegState, regs), st[1]))
+        return idiv
+
+    def _compile_cmp(self, ins, mn, ops):
+        reads = self._mem_reads(ops, ins.addr)
+        if reads is None:
+            return _identity
+
+        def cmp(st, work):
+            reads(st)
+            return st
+        return cmp
+
+    def _compile_push(self, ins, mn, ops):
+        (src,) = ops
+        get = self._int_operand(src, ins.addr)
+
+        def push(st, work):
+            val = get(st)
+            regs = st[0]
+            rsp = add_val(regs[_RSP], _MINUS_8)
+            stack = st[1]
+            key = _stack_aloc(rsp)
+            if key is not None:
+                stack = dict(stack)
+                stack[key] = val
+            return _new(AbsState, (set_reg(regs, _RSP, rsp), stack))
+        return push
+
+    def _compile_pop(self, ins, mn, ops):
+        (dst,) = ops
+        d = REG_INDEX[canonical(dst.name)] if isinstance(dst, Reg) else None
+
+        def pop(st, work):
+            regs = list(st[0])
+            rsp = regs[_RSP]
+            key = _stack_aloc(rsp)
+            val = st[1].get(key, BOTTOM) if key is not None else TOP
+            regs[_RSP] = add_val(rsp, _PLUS_8)
+            if d is not None:
+                regs[d] = val
+            return _new(AbsState, (_new(RegState, regs), st[1]))
+        return pop
+
+    def _compile_fp_mov(self, ins, mn, ops):
         dst, src = ops
+        addr = ins.addr
         if mn == "movq" and isinstance(dst, Reg) and isinstance(src, Xmm):
             # direct xmm->GPR bit transfer: unconditional sink (§6.2)
-            self.movq_sinks.add(ins.addr)
-            return st.with_regs(
-                st.regs.set(canonical(dst.name), Num(SI_TOP)))
-        if isinstance(dst, Mem) and (isinstance(src, Xmm)):
-            return self._write_value(ins, dst, st, TOP, "fp", work)
-        if isinstance(src, Mem):
-            self._record(self.reads_fp, ins.addr, self._access(src, st))
+            d = REG_INDEX[canonical(dst.name)]
+            sinks = self.movq_sinks
+
+            def movq(st, work):
+                sinks.add(addr)
+                return _new(AbsState, (set_reg(st[0], d, _NUM_TOP), st[1]))
+            return movq
+        if isinstance(dst, Mem) and isinstance(src, Xmm):
+            ea, size, store = _ea_fn(dst), dst.size, self._store
+            return lambda st, work: store(addr, ea(st[0]), size, st, TOP,
+                                          True, work)
         # movq xmm, r64 (GPR->xmm bits) needs no patch: FPVM sees the
         # value when arithmetic consumes it
-        return st
+        return self._compile_fp_reads(addr, (src,), None)
 
-    def _transfer_call(self, ins, st: AbsState,
-                       work) -> list[tuple[tuple[int, int], AbsState]]:
-        out: list[tuple[tuple[int, int], AbsState]] = []
+    def _compile_bitwise(self, ins, mn, ops):
+        return self._compile_fp_reads(ins.addr, ops[1:2], self.bitwise_sites)
+
+    def _compile_fp_op(self, ins, mn, ops):
+        # trap-capable FP instruction: memory operands are FP reads; a
+        # conversion into a GPR leaves an unbounded number there
+        out = None
+        if mn.startswith("cvt") and ops and isinstance(ops[0], Reg):
+            out = REG_INDEX[canonical(ops[0].name)]
+        return self._compile_fp_reads(ins.addr, ops, None, out)
+
+    def _compile_fp_reads(self, addr: int, ops, sites: set | None,
+                          out: int | None = None):
+        """FP loads of the memory operands among ``ops`` (recorded in
+        the recording pass); ``sites`` collects ``addr`` on every
+        visit; ``out`` is a register the instruction sets to an
+        unbounded number."""
+        reads = [(_ea_fn(op), op.size) for op in ops if isinstance(op, Mem)]
+        if not reads and sites is None and out is None:
+            return _identity
+        record = self._record_fp_read
+
+        def fp_reads(st, work):
+            if sites is not None:
+                sites.add(addr)
+            if reads and self._recording:
+                for ea, size in reads:
+                    record(addr, ea(st[0]), size)
+            if out is None:
+                return st
+            return _new(AbsState, (set_reg(st[0], out, _NUM_TOP), st[1]))
+        return fp_reads
+
+    def _compile_call(self, ins):
+        addr = ins.addr
         ret_site = ins.next_addr
-        callee = self.cfg.calls.get(ins.addr)
-        extern = self.cfg.extern_calls.get(ins.addr)
-
-        # fall-through state at the return site: havoc caller-saved regs
-        regs = st.regs.havoc(CALLER_SAVED)
-        if extern in ("malloc", "calloc"):
-            regs = regs.set("rax", HeapAddr(ins.addr, SI.const(0)))
-        ret_state = AbsState(regs, st.stack)
-        if ret_site in self.binary.text_map:
-            out.append(((self._ctx, ret_site), ret_state))
-
+        callee = self.cfg.calls.get(addr)
+        extern = self.cfg.extern_calls.get(addr)
+        heap = (HeapAddr(addr, si_const(0))
+                if extern in ("malloc", "calloc") else None)
+        has_ret = ret_site in self.binary.text_map
         # entry edge into an internal callee: argument registers flow,
         # analyzed under the call site's own k=1 context so two callers'
         # arguments never join at the callee entry
-        if callee is not None:
-            callee_ctx = ins.addr if self.k >= 1 else 0
-            self.contexts.add(callee_ctx)
-            entry_regs = st.regs.set("rsp", StackAddr(callee, SI.const(0)))
-            out.append(((callee_ctx, callee), AbsState(entry_regs, {})))
-        return out
+        callee_ctx = addr if self.k >= 1 else 0
+        callee_rsp = (StackAddr(callee, si_const(0))
+                      if callee is not None else None)
+        contexts = self.contexts
+
+        def call(st, work):
+            out = []
+            if has_ret:
+                # fall-through state at the return site: havoc
+                # caller-saved regs
+                regs = list(st[0])
+                for i in _CALLER_SAVED:
+                    regs[i] = TOP
+                if heap is not None:
+                    regs[_RAX] = heap
+                out.append(((self._ctx, ret_site),
+                            _new(AbsState, (_new(RegState, regs), st[1]))))
+            if callee is not None:
+                contexts.add(callee_ctx)
+                out.append(((callee_ctx, callee), _new(
+                    AbsState, (set_reg(st[0], _RSP, callee_rsp), {}))))
+            return out
+        return call
+
+
+_MINUS_8 = Num(si_const(-8))
+_PLUS_8 = Num(si_const(8))
+
+#: mnemonic -> transfer compiler; anything else is an identity unless
+#: its opcode class is FP (then ``_compile_fp_op``)
+_MAKERS = {
+    **dict.fromkeys(("mov", "movabs", "movzx", "movsx"),
+                    ValueSetAnalysis._compile_mov),
+    "lea": ValueSetAnalysis._compile_lea,
+    "add": ValueSetAnalysis._compile_add_sub,
+    "sub": ValueSetAnalysis._compile_add_sub,
+    **dict.fromkeys(("and", "or", "xor", "imul", "not", "neg", "inc",
+                     "dec", "shl", "shr", "sar", "idiv", "cqo",
+                     "cmove", "cmovne", "cmovl", "cmovg"),
+                    ValueSetAnalysis._compile_alu),
+    "cmp": ValueSetAnalysis._compile_cmp,
+    "test": ValueSetAnalysis._compile_cmp,
+    "push": ValueSetAnalysis._compile_push,
+    "pop": ValueSetAnalysis._compile_pop,
+    **dict.fromkeys(_FP_STORES | {"movq"}, ValueSetAnalysis._compile_fp_mov),
+    **dict.fromkeys(("xorpd", "andpd", "orpd", "andnpd"),
+                    ValueSetAnalysis._compile_bitwise),
+}

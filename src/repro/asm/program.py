@@ -40,12 +40,15 @@ class Binary:
     rodata_symbols: set[str] = field(default_factory=set)
 
     text_map: dict[int, Instruction] = field(init=False, repr=False)
+    #: text address -> index of its instruction in ``text``
+    _slots: dict[int, int] = field(init=False, repr=False)
     #: callbacks fired after replace_instruction (predecode recompiles)
     _patch_listeners: list = field(init=False, repr=False,
                                    default_factory=list)
 
     def __post_init__(self) -> None:
         self.text_map = {i.addr: i for i in self.text}
+        self._slots = {ins.addr: n for n, ins in enumerate(self.text)}
 
     def add_patch_listener(self, fn) -> None:
         """Register ``fn(new_instruction)`` to run after each patch."""
@@ -63,6 +66,13 @@ class Binary:
     def instruction_at(self, addr: int) -> Instruction:
         try:
             return self.text_map[addr]
+        except KeyError:
+            raise AssemblyError(f"no instruction at {addr:#x}") from None
+
+    def text_index(self, addr: int) -> int:
+        """Index in ``text`` of the instruction at ``addr``."""
+        try:
+            return self._slots[addr]
         except KeyError:
             raise AssemblyError(f"no instruction at {addr:#x}") from None
 
@@ -121,8 +131,7 @@ class Binary:
                 f"patch at {addr:#x} changes length {old.length}->{new.length}"
             )
         new = new.with_addr(addr)
-        idx = self.text.index(old)
-        self.text[idx] = new
+        self.text[self._slots[addr]] = new
         self.text_map[addr] = new
         for fn in self._patch_listeners:
             fn(new)

@@ -274,8 +274,7 @@ def rebuild_blocks_around(m: "Machine", addr: int) -> None:
     from each address in it.
     """
     text = m.binary.text
-    text_map = m.binary.text_map
-    i = text.index(text_map[addr])
+    i = m.binary.text_index(addr)
     start = i
     while start > 0:
         prev = text[start - 1]

@@ -217,10 +217,11 @@ class Session:
             self.fpvm = FPVM(arith, config)
             self.fpvm.install(self.machine)
             self.fpvm.apply_analysis(self.analysis)
-            if (self.fpvm.sanitizer is not None
-                    and self.fpvm.sanitizer.config.exempt):
+            if self.fpvm.sanitizer is not None:
                 # interval-range pass: statically prove sites
                 # divergence-free so the dual-path check skips them
+                # (when exemption is on; with it off the proofs are what
+                # the exemption gate checks the full run against)
                 from repro.analysis.ranges import analyze_ranges
 
                 rr = analyze_ranges(

@@ -200,6 +200,29 @@ class TestAssembler:
         with pytest.raises(AssemblyError):
             b.replace_instruction(b.entry, Instruction("nop", (), 0, 9))
 
+    def test_text_index_by_address(self):
+        a = Assembler()
+        a.label("main")
+        a.emit("addsd", Xmm(0), Xmm(1))
+        a.emit("nop")
+        a.emit("mulsd", Xmm(0), Xmm(1))
+        b = a.assemble()
+        first, last = b.text[0], b.text[-1]
+        assert b.text_index(first.addr) == 0
+        assert b.text_index(last.addr) == len(b.text) - 1
+        with pytest.raises(AssemblyError):
+            b.text_index(b.text_end)  # one past the last instruction
+        # patching the first and last slots finds them by address
+        for ins in (first, last):
+            patch = Instruction("fpvm_trap", (), ins.addr, ins.length,
+                                payload={"original": ins})
+            assert b.replace_instruction(ins.addr, patch) is ins
+        assert [i.mnemonic for i in b.text] == ["fpvm_trap", "nop",
+                                                "fpvm_trap"]
+        assert b.text_index(last.addr) == 2
+        with pytest.raises(AssemblyError):
+            b.replace_instruction(b.text_end, patch)
+
     def test_disassemble_mentions_symbols(self):
         a = Assembler()
         a.label("main")

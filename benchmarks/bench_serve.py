@@ -13,8 +13,7 @@ while a seeded chaos monkey SIGKILLs busy workers, and reports:
 * ``serve_lost_jobs`` — accepted jobs that never got an answer
   (the robustness acceptance number: must be 0)
 
-Importable (``serve_metrics()``) by ``run_benchmarks.py`` and runnable
-standalone::
+Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_serve.py [seconds]
 """

@@ -377,30 +377,6 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run benchmarks/run_benchmarks.py (or the regression check)."""
-    import subprocess
-
-    root = Path(__file__).resolve().parents[2]
-    script = root / "benchmarks" / ("check_regression.py" if args.check
-                                    else "run_benchmarks.py")
-    if not script.exists():
-        raise SystemExit(f"benchmark suite not found at {script} "
-                         "(run from a source checkout)")
-    cmd = [sys.executable, str(script)]
-    if args.check:
-        cmd += ["--threshold", str(args.threshold)]
-    else:
-        if args.seed_baseline is not None:
-            cmd += ["--seed-baseline", str(args.seed_baseline)]
-        if getattr(args, "lanes", None):
-            raise SystemExit("bench: use --batch N to size the batched "
-                             "sweep; --lanes files apply to run/chaos")
-        if getattr(args, "batch", None):
-            cmd += ["--batch-lanes", str(args.batch)]
-    return subprocess.run(cmd, cwd=root).returncode
-
-
 def cmd_list(args) -> int:
     print(f"{'workload':14s} {'paper R815 slowdown':>20s}  description")
     for name in sorted(WORKLOADS):
@@ -553,15 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    # one shared parent so run / workload / chaos / bench expose the
-    # same batching surface with identical help text
+    # one shared parent so run / workload / chaos expose the same
+    # batching surface with identical help text
     batch_parent = argparse.ArgumentParser(add_help=False)
     bg = batch_parent.add_mutually_exclusive_group()
     bg.add_argument("--batch", type=int, default=None, metavar="N",
                     help="execute N struct-of-arrays lanes in lockstep "
                          "(run: N identical lanes; chaos: N-lane "
-                         "control determinism probe; bench: lane count "
-                         "for the batched sweep)")
+                         "control determinism probe)")
     bg.add_argument("--lanes", default=None, metavar="FILE",
                     help="JSON list of lane specs (params/stdin/label/"
                          "max_instructions/max_cycles); implies batched "
@@ -719,22 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --registry: comma-separated workload "
                            "subset to gate instead of the full registry")
     sa_p.set_defaults(fn=cmd_sanitize)
-
-    be_p = sub.add_parser(
-        "bench",
-        help="run the micro benchmark suite and append a "
-             "schema-versioned record to BENCH_interp.json",
-        parents=[batch_parent])
-    be_p.add_argument("--seed-baseline", type=float, default=None,
-                      metavar="N",
-                      help="instrs/sec measured on the seed commit "
-                           "(default: carried over from the last record)")
-    be_p.add_argument("--check", action="store_true",
-                      help="compare against the committed baseline "
-                           "instead of recording (CI smoke gate)")
-    be_p.add_argument("--threshold", type=float, default=0.30,
-                      help="allowed fractional regression for --check")
-    be_p.set_defaults(fn=cmd_bench)
 
     ch_p = sub.add_parser(
         "chaos",

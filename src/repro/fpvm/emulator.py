@@ -15,7 +15,7 @@ Boxing policy: by default every emulated result allocates a fresh
 shadow cell (the paper's behaviour, which creates the GC pressure of
 Fig. 10).  With ``box_exact_results=False`` results that demote to a
 binary64 *exactly* are stored unboxed — an ablation knob benchmarked
-by ``benchmarks/bench_ablation_boxing.py``.
+by ``benchmarks/bench_ablations.py::test_ablation_boxing_policy``.
 """
 
 from __future__ import annotations

@@ -39,16 +39,35 @@ def _builder():
     return compile_source(BOXING_SRC)
 
 
+#: analysis precision per registry program at size ``test`` under
+#: mpfr:64: (patched sites, patched sites that never consume a box).
+#: Pinned exactly; a change to the fixpoint or the liveness refinement
+#: that moves a count must regenerate this table and give the old →
+#: new table as its reason.
+PRECISION = {
+    "enzo": (153, 152),
+    "fbench": (1, 0),
+    "lorenz": (0, 0),
+    "miniaero": (2, 0),
+    "nas_cg": (1, 1),
+    "nas_ep": (3, 1),
+    "nas_is": (3, 3),
+    "nas_lu": (6, 3),
+    "nas_mg": (0, 0),
+    "numbugs_cancel": (0, 0),
+    "numbugs_sum": (0, 0),
+    "numbugs_var": (0, 0),
+    "three_body": (0, 0),
+}
+
+
 class TestRegistrySoundness:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_no_soundness_violations(self, name):
         res = validate(name, "mpfr:64", size="test")
         assert res.ok, "\n".join(res.violations)
-
-    def test_spurious_rate_bounds(self):
-        res = validate("nas_lu", "mpfr:64", size="test")
-        assert 0.0 <= res.spurious_trap_rate <= 1.0
-        assert res.patched_site_count >= len(res.spurious_sites)
+        assert (res.patched_site_count, len(res.spurious_sites)) == \
+            PRECISION[name]
 
 
 class TestOracleObservations:

@@ -125,9 +125,9 @@ class TestBatchFlags:
             build_parser().parse_args(
                 ["run", program, "--batch", "2", "--lanes", "x.json"])
 
-    def test_shared_parent_on_chaos_and_bench(self):
+    def test_shared_parent_on_chaos_and_run(self, program):
         parser = build_parser()
         args = parser.parse_args(["chaos", "--batch", "3"])
         assert args.batch == 3
-        args = parser.parse_args(["bench", "--batch", "8"])
+        args = parser.parse_args(["run", program, "--batch", "8"])
         assert args.batch == 8

@@ -154,6 +154,27 @@ class TestIncremental:
         assert s2.remembered_marks >= 1   # h re-marked without a rescan
         assert store.get(h) == 7.0
 
+    def test_one_hot_page_in_a_1mib_image(self):
+        """A 1 MiB data image with one page rewritten per epoch: the
+        cold epoch scans the whole image, each steady epoch only the
+        hot page and the registers."""
+        from repro.compiler import compile_source
+
+        gc, store, codec = make_inc()
+        m = load_binary(compile_source(
+            "double big[131072]; long main() { big[7] = 0.5; return 0; }"))
+        m.run()
+        h = store.alloc(1.0)
+        slot = m.binary.symbols["big"] + 64
+        m.memory.write(slot, 8, codec.encode(h))
+        assert gc.collect(m).words_scanned == 131_123
+        for _ in range(3):
+            m.memory.write(slot, 8, codec.encode(h))
+            store.clear_marks()
+            s = gc.collect(m)
+            assert s.words_scanned == 562
+            assert s.freed == 0 and store.get(h) == 1.0
+
     def test_write_redirties_page(self):
         """A store to a clean page must force a rescan of that page —
         both a new box and a dropped one have to be seen."""

@@ -163,6 +163,19 @@ class TestRunBatch:
         assert batch.dispatches > 0
         assert 0.0 <= batch.spill_rate <= 1.0
 
+    def test_seeded_lorenz_sweep_never_spills(self):
+        """64 lanes of a lorenz sweep over rho stay in lockstep to the
+        end: no lane leaves the batch for the scalar interpreter."""
+        from repro.compiler import compile_source
+        from repro.workloads import lorenz
+
+        binary = compile_source(lorenz.SOURCE_TEMPLATE.format(
+            steps=1000, dt=0.005, sample=1000))
+        batch = Session(binary, None).run_batch(
+            [LaneSpec(params={"rho": 20.0 + 0.125 * i}) for i in range(64)])
+        assert batch.ok
+        assert batch.spilled_lanes == 0
+
     def test_oracle_rejected(self):
         from repro.analysis.oracle import SoundnessOracle
         from repro.errors import MachineError

@@ -119,7 +119,7 @@ class SoundnessOracle:
         return [op for op in ops if isinstance(op, Mem)]
 
     def observe(self, m: "Machine", ins: "Instruction") -> None:
-        """Pre-execution hook (legacy path); also the probe body."""
+        """The probe body: runs just before ``ins`` executes."""
         mn = ins.mnemonic
         if mn == "movq":
             dst, src = ins.operands

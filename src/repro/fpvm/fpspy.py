@@ -85,11 +85,8 @@ class FPSpy:
         m = self.machine
         if m is None:
             return
-        # a trapped instruction is attempted then re-executed: it hits
-        # the FP counter twice, so subtract one count per event
-        self.report.instructions = m.instr_count - self.report.total_events
-        self.report.fp_instructions = (m.fp_instr_count
-                                       - self.report.total_events)
+        self.report.instructions = m.instr_count
+        self.report.fp_instructions = m.fp_instr_count
         if self._saved_masks is not None:
             m.mxcsr.set_masks(self._saved_masks)
         m.fp_trap_handler = None

@@ -49,7 +49,8 @@ from repro.ieee.bits import (F64_DEFAULT_QNAN, F64_EXP_MASK, F64_QNAN_BIT,
 from repro.isa.operands import Xmm
 from repro.fpvm.binding import XmmLoc
 from repro.fpvm.nanbox import PAYLOAD_MASK
-from repro.machine.predecode import (_base_cost, _f64_reader,
+from repro.machine.costmodel import instruction_cost
+from repro.machine.predecode import (_SCALAR_OPS, _f64_reader,
                                      rebuild_blocks_around)
 from repro.trace.events import JitCompileEvent, JitHitEvent
 
@@ -113,8 +114,6 @@ class TrapSiteJIT:
     def note_trap(self, m: "Machine", ins: "Instruction",
                   decoded: "DecodedInst") -> None:
         """Count one serviced trap; compile the site at the threshold."""
-        if getattr(m, "_code", None) is None:
-            return  # legacy dispatch loop: nothing to patch into
         addr = ins.addr
         if (addr in self.sites or addr in self.fpvm._demoted_sites
                 or addr in self.box_free_sites):
@@ -202,7 +201,7 @@ class TrapSiteJIT:
         is_box = fpvm.codec.is_box
         cost = m.cost
         buckets = cost.buckets
-        C = _base_cost(m, ins)
+        C = instruction_cost(cost.platform, ins)
         check_c = cost.platform.jit_check_cycles
         emul_c = check_c + cost.platform.jit_emulate_cycles
         stats = fpvm.stats
@@ -328,8 +327,6 @@ class TrapSiteJIT:
         non-box, non-NaN bits).  With a fault injector armed every link
         unboxes through ``Emulator.unbox`` so its hooks still fire.
         """
-        from repro.machine.cpu import Machine as _Machine
-
         fpvm = self.fpvm
         em = fpvm.emulator
         arith = fpvm.arith
@@ -389,14 +386,14 @@ class TrapSiteJIT:
             ins = s.ins
             unary = s.kind == "sqrt"
             fpu_fn = (m.fpu.sqrt64 if unary
-                      else getattr(m.fpu, _Machine._SCALAR_OPS[ins.mnemonic]))
+                      else getattr(m.fpu, _SCALAR_OPS[ins.mnemonic]))
             src = ins.operands[1]
             # a source naming the destination reads the carried state
             rs = (None if isinstance(src, Xmm) and src.index == dst_index
                   else _f64_reader(m, src))
             links.append((
                 s, ins.mnemonic, unary, fpu_fn, getattr(arith, s.arith_name),
-                s.arith_name, rs, _base_cost(m, ins),
+                s.arith_name, rs, instruction_cost(m.cost.platform, ins),
                 arith.op_cycles(s.arith_name), [None, None],
             ))
         links = tuple(links)

@@ -88,7 +88,7 @@ class FPVMConfig:
     gc_mode: str = "full"
     #: tracing JIT: backward-branch executions at one loop header before
     #: the loop body is trace-recorded and compiled to a single Python
-    #: function (0 disables; trap-and-emulate mode, predecode machines)
+    #: function (0 disables; trap-and-emulate mode only)
     trace_jit_threshold: int = 0
     #: sanitizer tunables; only consulted when the arithmetic is a
     #: DualPathArithmetic (``None`` uses SanitizeConfig defaults)
@@ -185,7 +185,7 @@ class FPVM:
         else:
             self.jit = None
         #: tracing JIT — created at install time (needs the machine's
-        #: predecode dispatch table); None until then / when disabled
+        #: compiled step table); None until then / when disabled
         self.tracejit = None
 
     # ------------------------------------------------------------------ #
@@ -298,11 +298,7 @@ class FPVM:
             # the interval-range pass proved this site's worst-case
             # rounding error below the divergence threshold: skip the
             # dual-path machinery and re-execute under plain IEEE.
-            # The trap already retired the instruction once, and
-            # _execute_vanilla retires it again — decrement so the
-            # sanitize run's instr_count stays bit-identical to native.
             self.stats.sanitize_exempt_execs += 1
-            machine.instr_count -= 1
             self._demote_operands(machine, frame.instruction)
             self._execute_vanilla(machine, frame.instruction)
             self.gc.maybe_collect(machine)
@@ -429,7 +425,8 @@ class FPVM:
 
         Exceptions are masked for the duration so the instruction
         cannot re-trap; ``machine.execute`` charges base cycles and
-        advances RIP exactly as an unvirtualized execution would.
+        advances RIP exactly as an unvirtualized execution would, and
+        the trapped instruction still retires once.
         """
         saved_masks = machine.mxcsr.masks
         machine.mxcsr.mask_all()

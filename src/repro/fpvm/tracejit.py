@@ -79,10 +79,8 @@ class TraceJIT:
 
     def __init__(self, fpvm: "FPVM", threshold: int = 50) -> None:
         machine = fpvm.machine
-        if machine is None or machine._blocks is None:
-            raise ValueError(
-                "tracing JIT requires an FPVM installed on a predecoded "
-                "machine")
+        if machine is None:
+            raise ValueError("tracing JIT requires an installed FPVM")
         self.machine = machine
         self.threshold = threshold
         self.stats = fpvm.stats
@@ -148,8 +146,7 @@ class TraceJIT:
 
     def _assumptions_hold(self, info: TraceInfo) -> bool:
         m = self.machine
-        return (m.fp_trap_handler is info.handler and m.oracle is None
-                and m._blocks is not None)
+        return m.fp_trap_handler is info.handler and m.oracle is None
 
     def _on_back_edge(self, tgt: int) -> None:
         if self._recording or not self.machine._in_fast_loop:
@@ -333,7 +330,7 @@ class TraceJIT:
 
     def _deinstall(self, info: TraceInfo) -> None:
         m = self.machine
-        if m._blocks is not None and m._blocks.get(info.header) is info.fn:
+        if m._blocks.get(info.header) is info.fn:
             m._blocks[info.header] = _block_at(m, m._code, info.header)
 
     def _invalidate(self, info: TraceInfo, reason: str) -> None:

@@ -129,7 +129,6 @@ class MatrixCell:
     patch: bool = True
     gc_epoch_cycles: int = 5_000_000
     box_exact_results: bool = True
-    predecode: bool = True
     #: fault-injection plan (a frozen, picklable FaultPlan) and the
     #: degradation ladder's storm threshold — the chaos-campaign knobs
     fault_plan: object = None
@@ -188,8 +187,7 @@ def _make_session(cell: MatrixCell):
     inputs = {"stdin": cell.stdin, "params": dict(cell.params)}
     if cell.arith is None:
         return Session(cell.workload, None, platform=platform,
-                       size=cell.size, predecode=cell.predecode,
-                       label=cell.label, **inputs)
+                       size=cell.size, label=cell.label, **inputs)
     config = FPVMConfig(
         mode=cell.mode,
         gc_epoch_cycles=cell.gc_epoch_cycles,
@@ -201,7 +199,7 @@ def _make_session(cell: MatrixCell):
                    platform=platform, size=cell.size,
                    patch=cell.patch,
                    delivery_scenario=cell.delivery_scenario,
-                   predecode=cell.predecode, label=cell.label, **inputs)
+                   label=cell.label, **inputs)
 
 
 def run_contained(cell: MatrixCell, make_session,

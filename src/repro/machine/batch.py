@@ -57,22 +57,20 @@ import numpy as np
 from repro.errors import LaneDivergence, MachineError
 from repro.ieee.bits import f64_to_bits
 from repro.ieee.softfloat import SoftFPU
-from repro.isa.opcodes import OPCODES, OpClass, is_fp_trapping
+from repro.isa.opcodes import is_fp_trapping
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
-from repro.machine.cpu import EXIT_ADDR, HEAP_BASE, STACK_TOP, _PARITY
-from repro.machine.costmodel import Platform, R815
+from repro.machine.cpu import EXIT_ADDR, HEAP_BASE, STACK_TOP
+from repro.machine.costmodel import Platform, R815, instruction_cost
 from repro.machine.libc import BINDINGS
 from repro.machine.memory import BatchMemory
+from repro.machine.predecode import _PARITY, _op_size
 from repro.machine.regfile import BatchRegFile
 
 _M64 = 0xFFFF_FFFF_FFFF_FFFF
 _M32 = 0xFFFF_FFFF
 _U = np.uint64
 _PARB = np.array(_PARITY, dtype=bool)
-
-#: FP classes that carry architectural latency (mirrors Machine.__init__)
-_FP_CLASSES = (OpClass.FP_ARITH, OpClass.FP_CMP, OpClass.FP_CVT)
 
 
 @dataclass(frozen=True)
@@ -470,16 +468,6 @@ def _vfp_sqrt(fpu: SoftFPU, a: np.ndarray) -> np.ndarray:
 # vectorized instruction makers — every maker returns a zero-arg step that     #
 # follows the validate / retire / commit protocol (module docstring)           #
 # --------------------------------------------------------------------------- #
-
-def _op_size(ins, default: int = 8) -> int:
-    for op in ins.operands:
-        if isinstance(op, Reg):
-            return op.size
-    for op in ins.operands:
-        if isinstance(op, Mem):
-            return op.size
-    return default
-
 
 def _mk_spill_all(bm, ins, reason: str):
     def step():
@@ -1774,7 +1762,6 @@ class BatchMachine:
         arith=None,
         config=None,
         analysis=None,
-        predecode: bool = True,
         delivery_scenario: str = "user",
         final_gc: bool = True,
     ) -> None:
@@ -1792,7 +1779,6 @@ class BatchMachine:
         self.arith = arith
         self.config = config
         self.analysis = analysis
-        self.predecode = predecode
         self.delivery_scenario = delivery_scenario
         self.fpvm_mode = arith is not None
         self.final_gc = final_gc
@@ -1812,12 +1798,6 @@ class BatchMachine:
             if impl is None:
                 raise MachineError(f"unresolved import {name!r}")
             self.externs[addr] = impl
-
-        self._cost_table = {
-            mn: (float(info.cycles) if info.opclass in _FP_CLASSES
-                 else max(info.cycles * platform.int_issue_scale, 0.2))
-            for mn, info in OPCODES.items()
-        }
 
         # uniform in-batch accounting + per-lane columns
         self.instr_count = 0
@@ -1883,8 +1863,6 @@ class BatchMachine:
     # ------------------------------------------------------------------ #
     def _compile(self, ins):
         mn = ins.mnemonic
-        if mn not in self._cost_table:
-            return _mk_spill_all(self, ins, f"unknown mnemonic {mn}")
         if mn in ("fpvm_trap", "fpvm_patch", "int3", "ud2"):
             return _mk_spill_all(self, ins, f"scalar-only {mn}")
         if self.fpvm_mode and is_fp_trapping(mn):
@@ -1892,11 +1870,7 @@ class BatchMachine:
             # become) a trap site: the lane leaves the batch before the
             # first one, while zero NaN-boxes exist
             return _mk_spill_all(self, ins, "fpvm trap surface")
-        C = self._cost_table[mn]
-        mem_cycles = self.platform.mem_access_cycles
-        for op in ins.operands:
-            if isinstance(op, Mem):
-                C = C + mem_cycles
+        C = instruction_cost(self.platform, ins)
         maker = _BMAKERS.get(mn)
         if maker is None:
             return _mk_spill_all(self, ins, f"unvectorized {mn}")
@@ -2083,8 +2057,7 @@ class BatchMachine:
             binary._patch_listeners = []
         m = load_binary(binary, platform=self.platform,
                         heap_size=self.heap_size,
-                        stack_size=self.stack_size,
-                        predecode=self.predecode)
+                        stack_size=self.stack_size)
         m.delivery_scenario = self.delivery_scenario
         self.regs.write_lane_to(m.regs, lv.pos)
         m.regs.rip = rip

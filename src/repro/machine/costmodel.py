@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.isa.opcodes import OPCODES, is_fp_trapping
+from repro.isa.operands import Mem
+
 
 @dataclass(frozen=True)
 class Platform:
@@ -122,6 +125,26 @@ R730XD = Platform(
 )
 
 PLATFORMS: dict[str, Platform] = {p.name: p for p in (R815, P7220, R730XD)}
+
+
+def instruction_cost(platform: Platform, ins) -> float:
+    """Base cycles one execution of ``ins`` charges on ``platform``.
+
+    Only the trap-capable FP classes carry architectural latency; FP
+    moves/bitwise are pipelined exactly like integer traffic, scaled
+    by superscalar issue width.  Each memory operand adds one
+    pipelined L1 access, summed left to right so every engine that
+    charges this constant accumulates bit-identical cycles.
+    """
+    cycles = OPCODES[ins.mnemonic].cycles
+    if is_fp_trapping(ins.mnemonic):
+        cost = float(cycles)
+    else:
+        cost = max(cycles * platform.int_issue_scale, 0.2)
+    for op in ins.operands:
+        if isinstance(op, Mem):
+            cost = cost + platform.mem_access_cycles
+    return cost
 
 
 @dataclass

@@ -1,16 +1,18 @@
-"""The CPU interpreter for the simulated x64 subset.
+"""The simulated x64 process: architectural state plus its run loops.
 
 One :class:`Machine` owns all architectural state (registers, memory,
-MXCSR), executes instructions with x64-faithful semantics, charges the
-cost model, and delivers precise FP faults to a registered handler —
-the role the hardware + Linux kernel + SIGFPE path plays for the real
-FPVM.
+MXCSR), runs the instructions :mod:`repro.machine.predecode` compiles
+for it, charges the cost model, and delivers precise FP faults to a
+registered handler — the role the hardware + Linux kernel + SIGFPE
+path plays for the real FPVM.
 
 FP fault precision: an FP instruction first computes its result and
 MXCSR event flags via the soft FPU; if any unmasked event fired, the
 fault is delivered *without committing the destination* and with RIP
 still pointing at the faulting instruction — exactly the contract
-trap-and-emulate needs (paper §4.1).
+trap-and-emulate needs (paper §4.1).  The instruction then retires
+exactly once: the handler's re-execution (:meth:`Machine.execute`)
+does not count it again.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ from typing import Callable
 from repro.errors import MachineError, UnhandledTrap, WatchdogExpired
 from repro.ieee.softfloat import Flags, SoftFPU
 from repro.isa.instructions import Instruction
-from repro.isa.operands import Imm, Mem, Reg, Xmm
+from repro.isa.operands import Mem
 from repro.asm.program import Binary
 from repro.machine.costmodel import CostModel, Platform, R815
 from repro.machine.memory import Memory
 from repro.machine.mxcsr import MXCSR
+from repro.machine.predecode import (Step, compile_blocks,
+                                     compile_instruction, compile_program,
+                                     rebuild_blocks_around)
 from repro.machine.regfile import RegFile
 from repro.machine.traps import TrapFrame, TrapKind
-from repro.trace.events import ExternCallEvent
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -37,14 +41,6 @@ EXIT_ADDR = 0x000F_FFF0
 #: default process layout
 HEAP_BASE = 0x0100_0000
 STACK_TOP = 0x0800_0000
-
-_PARITY = tuple(1 - (bin(i).count("1") & 1) for i in range(256))
-
-
-def _signed(v: int, size: int) -> int:
-    bits = 8 * size
-    v &= (1 << bits) - 1
-    return v - (1 << bits) if v >> (bits - 1) else v
 
 
 class Machine:
@@ -57,7 +53,6 @@ class Machine:
         platform: Platform = R815,
         heap_size: int = 8 << 20,
         stack_size: int = 1 << 20,
-        predecode: bool = True,
     ) -> None:
         self.binary = binary
         self.regs = RegFile()
@@ -104,18 +99,6 @@ class Machine:
         #: loop whose dispatch the tracing JIT may bypass
         self._in_fast_loop = False
 
-        # effective per-mnemonic cost: FP classes at architectural
-        # latency, everything else scaled by superscalar issue width
-        from repro.isa.opcodes import OPCODES, OpClass
-
-        # only the trap-capable FP classes carry architectural latency;
-        # FP moves/bitwise are pipelined exactly like integer traffic
-        fp_classes = (OpClass.FP_ARITH, OpClass.FP_CMP, OpClass.FP_CVT)
-        self._cost_table = {
-            mn: (float(info.cycles) if info.opclass in fp_classes
-                 else max(info.cycles * platform.int_issue_scale, 0.2))
-            for mn, info in OPCODES.items()
-        }
         self.halted = False
         self.exit_code = 0
         self.instr_count = 0
@@ -132,39 +115,31 @@ class Machine:
         self.push(EXIT_ADDR)
         self.regs.rip = binary.entry
 
-        self._dispatch = self._build_dispatch()
+        # compile every text instruction into a specialized closure so
+        # run() needs no string dispatch on the hot path.  Patching
+        # (trap-and-patch, static patcher) swaps instructions after
+        # load, so recompile the affected address on notify.
+        self._code: dict[int, Step] = compile_program(self)
+        self._blocks: dict[int, Step] = compile_blocks(self, self._code)
+        #: id(instruction) -> (instruction, step) compiled for execute()
+        self._reexec: dict[int, tuple[Instruction, Step]] = {}
 
-        # predecode: compile every text instruction into a specialized
-        # closure so run() needs no string dispatch on the hot path.
-        # Patching (trap-and-patch, static patcher) swaps instructions
-        # after load, so recompile the affected address on notify.
-        self._code: dict[int, Callable[[], None]] | None = None
-        self._blocks: dict[int, Callable[[], None]] | None = None
-        if predecode:
-            from repro.machine.predecode import (
-                compile_blocks, compile_instruction, compile_program,
-                rebuild_blocks_around)
-            self._code = compile_program(self)
-            self._blocks = compile_blocks(self, self._code)
-
-            def _on_patch(ins):
-                self._code[ins.addr] = compile_instruction(self, ins)
-                rebuild_blocks_around(self, ins.addr)
-            binary.add_patch_listener(_on_patch)
+        def _on_patch(ins):
+            self._code[ins.addr] = compile_instruction(self, ins)
+            rebuild_blocks_around(self, ins.addr)
+        binary.add_patch_listener(_on_patch)
 
     def set_oracle(self, oracle) -> None:
         """Attach (or detach, with None) a dynamic soundness oracle.
 
-        Predecoded closures bake the hook decision in at compile time,
-        so attaching after construction recompiles the program with
+        Compiled steps bake the hook decision in at compile time, so
+        attaching after construction recompiles the program with
         oracle probes threaded into each relevant instruction.
         """
         self.oracle = oracle
-        if self._code is not None:
-            from repro.machine.predecode import (compile_blocks,
-                                                 compile_program)
-            self._code = compile_program(self)
-            self._blocks = compile_blocks(self, self._code)
+        self._code = compile_program(self)
+        self._blocks = compile_blocks(self, self._code)
+        self._reexec.clear()
 
     # ------------------------------------------------------------------ #
     # stack & operand plumbing                                            #
@@ -189,57 +164,8 @@ class Machine:
             a += self.regs.get_gpr(m.index) * m.scale
         return a & _MASK64
 
-    def _op_size(self, ins: Instruction, default: int = 8) -> int:
-        for op in ins.operands:
-            if isinstance(op, Reg):
-                return op.size
-        for op in ins.operands:
-            if isinstance(op, Mem):
-                return op.size
-        return default
-
-    def read_int(self, op, size: int) -> int:
-        if isinstance(op, Reg):
-            return self.regs.get_gpr(op.name) & ((1 << (8 * size)) - 1)
-        if isinstance(op, Imm):
-            return op.value & ((1 << (8 * size)) - 1)
-        if isinstance(op, Mem):
-            return self.memory.read(self.ea(op), size)
-        raise MachineError(f"bad integer operand {op!r}")
-
-    def write_int(self, op, value: int, size: int) -> None:
-        if isinstance(op, Reg):
-            self.regs.set_gpr(op.name, value & ((1 << (8 * size)) - 1))
-        elif isinstance(op, Mem):
-            self.memory.write(self.ea(op), size, value)
-        else:
-            raise MachineError(f"bad integer destination {op!r}")
-
-    def read_f64(self, op) -> int:
-        """Read a 64-bit FP operand's *bit pattern* (xmm lo lane or m64)."""
-        if isinstance(op, Xmm):
-            return self.regs.xmm_lo(op.index)
-        if isinstance(op, Mem):
-            return self.memory.read(self.ea(op), 8)
-        raise MachineError(f"bad FP operand {op!r}")
-
-    def read_f32(self, op) -> int:
-        if isinstance(op, Xmm):
-            return self.regs.xmm_lo(op.index) & 0xFFFF_FFFF
-        if isinstance(op, Mem):
-            return self.memory.read(self.ea(op), 4)
-        raise MachineError(f"bad FP operand {op!r}")
-
-    def read_xmm128(self, op) -> tuple[int, int]:
-        if isinstance(op, Xmm):
-            return self.regs.xmm_lo(op.index), self.regs.xmm_hi(op.index)
-        if isinstance(op, Mem):
-            a = self.ea(op)
-            return self.memory.read(a, 8), self.memory.read(a + 8, 8)
-        raise MachineError(f"bad 128-bit operand {op!r}")
-
     # ------------------------------------------------------------------ #
-    # run loop                                                            #
+    # run loops                                                           #
     # ------------------------------------------------------------------ #
 
     def run(self, max_instructions: int | None = None) -> int:
@@ -252,28 +178,11 @@ class Machine:
         """
         budget = max_instructions if max_instructions is not None else -1
         cycle_cap = self.cycle_watchdog
-        # fall back to the legacy fetch loop when predecode is off, or
-        # when a test has hooked execute() on the instance — the
-        # predecoded closures would bypass the hook
-        if self._code is None or "execute" in self.__dict__:
-            while not self.halted:
-                ins = self.binary.text_map.get(self.regs.rip)
-                if ins is None:
-                    raise MachineError(
-                        f"rip={self.regs.rip:#x}: no instruction")
-                self.execute(ins)
-                if budget > 0 and self.instr_count >= budget:
-                    raise WatchdogExpired(
-                        "instructions", budget,
-                        f"instruction budget exhausted ({budget})"
-                    )
-                if cycle_cap is not None and self.cost.cycles > cycle_cap:
-                    raise WatchdogExpired("cycles", cycle_cap)
-            return self.exit_code
         code_get = self._code.get
         regs = self.regs
         if budget > 0 or cycle_cap is not None:
-            # stepping loop: one watchdog check per instruction
+            # stepping loop: one unfused step and one watchdog check
+            # per instruction (the body of step(), inlined)
             while not self.halted:
                 step = code_get(regs.rip)
                 if step is None:
@@ -300,19 +209,31 @@ class Machine:
             self._in_fast_loop = False
         return self.exit_code
 
+    def step(self) -> None:
+        """Run the instruction at ``rip``: one retirement, with fault
+        delivery — the single-step hook for debuggers and tests."""
+        step = self._code.get(self.regs.rip)
+        if step is None:
+            raise MachineError(f"rip={self.regs.rip:#x}: no instruction")
+        step()
+
     def execute(self, ins: Instruction) -> None:
-        """Execute one instruction, including fault delivery."""
-        if self.oracle is not None:
-            self.oracle.observe(self, ins)
-        self.instr_count += 1
-        cost = self._cost_table[ins.mnemonic]
-        for op in ins.operands:
-            if isinstance(op, Mem):
-                cost += self.cost.platform.mem_access_cycles
-        self.cost.charge(cost, "base")
-        handler = self._dispatch[ins.mnemonic]
-        if not handler(ins):
-            self.regs.rip = ins.next_addr
+        """Re-execute ``ins`` from inside a trap or patch handler.
+
+        Charges the cost of ``ins`` and runs its compiled semantics,
+        fault delivery included, but does not retire it again: the
+        step that trapped or reached the patch site already counted
+        it.  The step is compiled once per Instruction object, never
+        taken from ``_code[ins.addr]`` — the trap-site JIT replaces
+        that entry.
+        """
+        entry = self._reexec.get(id(ins))
+        if entry is None or entry[0] is not ins:
+            entry = (ins, compile_instruction(self, ins))
+            self._reexec[id(ins)] = entry
+        step = entry[1]
+        self.cost.charge(step._C, "base")
+        step._body()
 
     # ------------------------------------------------------------------ #
     # FP event plumbing                                                   #
@@ -324,7 +245,6 @@ class Machine:
         Returns True if a fault was delivered (instruction must NOT
         commit; the handler owns RIP).
         """
-        self.fp_instr_count += 1
         pending = self.mxcsr.record(flags)
         if not pending:
             return False
@@ -346,616 +266,3 @@ class Machine:
         hw = min(total, plat.hw_trap_cycles)
         self.cost.charge(hw, hw_bucket)
         self.cost.charge(total - hw, kernel_bucket)
-
-    # ------------------------------------------------------------------ #
-    # dispatch table                                                      #
-    # ------------------------------------------------------------------ #
-
-    def _build_dispatch(self) -> dict[str, Callable[[Instruction], bool]]:
-        d: dict[str, Callable[[Instruction], bool]] = {
-            "mov": self._i_mov, "movabs": self._i_mov,
-            "movzx": self._i_movzx, "movsx": self._i_movsx,
-            "lea": self._i_lea, "xchg": self._i_xchg,
-            "push": self._i_push, "pop": self._i_pop,
-            "not": self._i_not, "neg": self._i_neg,
-            "inc": self._i_incdec, "dec": self._i_incdec,
-            "imul": self._i_imul, "idiv": self._i_idiv, "cqo": self._i_cqo,
-            "jmp": self._i_jmp, "call": self._i_call, "ret": self._i_ret,
-            "nop": self._i_nop, "hlt": self._i_hlt,
-            "int3": self._i_int3, "ud2": self._i_ud2,
-            "fpvm_trap": self._i_fpvm_trap,
-            "fpvm_patch": self._i_fpvm_patch,
-            "ucomisd": self._f_ucomi, "comisd": self._f_comi,
-            "cmpsd": self._f_cmpsd, "roundsd": self._f_roundsd,
-            "sqrtsd": self._f_sqrtsd, "sqrtpd": self._f_sqrtpd,
-            "fmaddsd": self._f_fmaddsd,
-            "cvtsi2sd": self._f_cvtsi2sd, "cvttsd2si": self._f_cvttsd2si,
-            "cvtsd2si": self._f_cvtsd2si, "cvtsd2ss": self._f_cvtsd2ss,
-            "cvtss2sd": self._f_cvtss2sd,
-            "movsd": self._f_movsd, "movss": self._f_movss,
-            "movq": self._f_movq, "movapd": self._f_movapd,
-            "movupd": self._f_movapd, "movhpd": self._f_movhpd,
-        }
-        for m in ("add", "sub", "and", "or", "xor", "cmp", "test"):
-            d[m] = self._i_alu
-        for m in ("shl", "shr", "sar"):
-            d[m] = self._i_shift
-        for cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae",
-                   "s", "ns", "p", "np"):
-            d["j" + cc] = self._i_jcc
-        for cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae",
-                   "p", "np"):
-            d["set" + cc] = self._i_setcc
-        for cc in ("e", "ne", "l", "g"):
-            d["cmov" + cc] = self._i_cmovcc
-        for m in ("addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd"):
-            d[m] = self._f_scalar
-        for m in ("addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd"):
-            d[m] = self._f_packed
-        for m in ("addss", "subss", "mulss", "divss"):
-            d[m] = self._f_scalar32
-        for m in ("xorpd", "andpd", "orpd", "andnpd"):
-            d[m] = self._f_bitwise
-        return d
-
-    # ------------------------------------------------------------------ #
-    # integer instructions                                                #
-    # ------------------------------------------------------------------ #
-
-    def _set_zsp(self, r: int, size: int) -> None:
-        self.regs.zf = 1 if r == 0 else 0
-        self.regs.sf = (r >> (8 * size - 1)) & 1
-        self.regs.pf = _PARITY[r & 0xFF]
-
-    def _i_mov(self, ins: Instruction) -> bool:
-        size = self._op_size(ins)
-        self.write_int(ins.operands[0], self.read_int(ins.operands[1], size),
-                       size)
-        return False
-
-    def _i_movzx(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        ssize = src.size if isinstance(src, (Reg, Mem)) else 4
-        self.write_int(dst, self.read_int(src, ssize), dst.size)
-        return False
-
-    def _i_movsx(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        ssize = src.size if isinstance(src, (Reg, Mem)) else 4
-        v = _signed(self.read_int(src, ssize), ssize)
-        self.write_int(dst, v & _MASK64, dst.size)
-        return False
-
-    def _i_lea(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        self.write_int(dst, self.ea(src), dst.size)
-        return False
-
-    def _i_xchg(self, ins: Instruction) -> bool:
-        a, b = ins.operands
-        size = self._op_size(ins)
-        va, vb = self.read_int(a, size), self.read_int(b, size)
-        self.write_int(a, vb, size)
-        self.write_int(b, va, size)
-        return False
-
-    def _i_push(self, ins: Instruction) -> bool:
-        self.push(self.read_int(ins.operands[0], 8))
-        return False
-
-    def _i_pop(self, ins: Instruction) -> bool:
-        self.write_int(ins.operands[0], self.pop(), 8)
-        return False
-
-    def _i_alu(self, ins: Instruction) -> bool:
-        mn = ins.mnemonic
-        dst, src = ins.operands
-        size = self._op_size(ins)
-        bits = 8 * size
-        mask = (1 << bits) - 1
-        a = self.read_int(dst, size)
-        b = self.read_int(src, size)
-        if mn in ("add",):
-            r = (a + b) & mask
-            self.regs.cf = 1 if r < a else 0
-            sa, sb, sr = a >> (bits - 1), b >> (bits - 1), r >> (bits - 1)
-            self.regs.of = 1 if (sa == sb and sr != sa) else 0
-        elif mn in ("sub", "cmp"):
-            r = (a - b) & mask
-            self.regs.cf = 1 if a < b else 0
-            sa, sb, sr = a >> (bits - 1), b >> (bits - 1), r >> (bits - 1)
-            self.regs.of = 1 if (sa != sb and sr == sb) else 0
-        elif mn == "and" or mn == "test":
-            r = a & b
-            self.regs.cf = self.regs.of = 0
-        elif mn == "or":
-            r = a | b
-            self.regs.cf = self.regs.of = 0
-        else:  # xor
-            r = a ^ b
-            self.regs.cf = self.regs.of = 0
-        self._set_zsp(r, size)
-        if mn not in ("cmp", "test"):
-            self.write_int(dst, r, size)
-        return False
-
-    def _i_shift(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        size = dst.size if isinstance(dst, Reg) else self._op_size(ins)
-        bits = 8 * size
-        count = self.read_int(src, 1) & (63 if bits == 64 else 31)
-        a = self.read_int(dst, size)
-        if count == 0:
-            return False
-        if ins.mnemonic == "shl":
-            r = (a << count) & ((1 << bits) - 1)
-            self.regs.cf = (a >> (bits - count)) & 1 if count <= bits else 0
-        elif ins.mnemonic == "shr":
-            r = a >> count
-            self.regs.cf = (a >> (count - 1)) & 1
-        else:  # sar
-            s = _signed(a, size)
-            r = (s >> count) & ((1 << bits) - 1)
-            self.regs.cf = (a >> (count - 1)) & 1
-        self.regs.of = 0
-        self._set_zsp(r, size)
-        self.write_int(dst, r, size)
-        return False
-
-    def _i_not(self, ins: Instruction) -> bool:
-        size = self._op_size(ins)
-        v = self.read_int(ins.operands[0], size)
-        self.write_int(ins.operands[0], ~v, size)
-        return False
-
-    def _i_neg(self, ins: Instruction) -> bool:
-        size = self._op_size(ins)
-        bits = 8 * size
-        v = self.read_int(ins.operands[0], size)
-        r = (-v) & ((1 << bits) - 1)
-        self.regs.cf = 0 if v == 0 else 1
-        self.regs.of = 1 if v == (1 << (bits - 1)) else 0
-        self._set_zsp(r, size)
-        self.write_int(ins.operands[0], r, size)
-        return False
-
-    def _i_incdec(self, ins: Instruction) -> bool:
-        size = self._op_size(ins)
-        bits = 8 * size
-        v = self.read_int(ins.operands[0], size)
-        delta = 1 if ins.mnemonic == "inc" else -1
-        r = (v + delta) & ((1 << bits) - 1)
-        self._set_zsp(r, size)  # CF preserved, per x64
-        sa, sr = v >> (bits - 1), r >> (bits - 1)
-        self.regs.of = 1 if sa != sr and (
-            (delta > 0 and sa == 0) or (delta < 0 and sa == 1)) else 0
-        self.write_int(ins.operands[0], r, size)
-        return False
-
-    def _i_imul(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        size = self._op_size(ins)
-        bits = 8 * size
-        a = _signed(self.read_int(dst, size), size)
-        b = _signed(self.read_int(src, size), size)
-        full = a * b
-        r = full & ((1 << bits) - 1)
-        trunc = _signed(r, size)
-        self.regs.cf = self.regs.of = 0 if trunc == full else 1
-        self._set_zsp(r, size)
-        self.write_int(dst, r, size)
-        return False
-
-    def _i_idiv(self, ins: Instruction) -> bool:
-        size = self._op_size(ins)
-        if size != 8:
-            raise MachineError("idiv modeled for 64-bit operands only")
-        dv = _signed(self.read_int(ins.operands[0], 8), 8)
-        if dv == 0:
-            raise MachineError(f"integer divide by zero at {ins.addr:#x}")
-        hi = self.regs.get_gpr("rdx")
-        lo = self.regs.get_gpr("rax")
-        d128 = (hi << 64) | lo
-        if d128 >> 127:
-            d128 -= 1 << 128
-        q = int(d128 / dv)  # truncation toward zero
-        r = d128 - q * dv
-        if not (-(1 << 63) <= q < (1 << 63)):
-            raise MachineError(f"idiv overflow at {ins.addr:#x}")
-        self.regs.set_gpr("rax", q & _MASK64)
-        self.regs.set_gpr("rdx", r & _MASK64)
-        return False
-
-    def _i_cqo(self, ins: Instruction) -> bool:
-        rax = self.regs.get_gpr("rax")
-        self.regs.set_gpr("rdx", _MASK64 if rax >> 63 else 0)
-        return False
-
-    # ------------------------------------------------------------------ #
-    # control flow                                                        #
-    # ------------------------------------------------------------------ #
-
-    _COND = {
-        "e": lambda r: r.zf == 1,
-        "ne": lambda r: r.zf == 0,
-        "l": lambda r: r.sf != r.of,
-        "le": lambda r: r.zf == 1 or r.sf != r.of,
-        "g": lambda r: r.zf == 0 and r.sf == r.of,
-        "ge": lambda r: r.sf == r.of,
-        "b": lambda r: r.cf == 1,
-        "be": lambda r: r.cf == 1 or r.zf == 1,
-        "a": lambda r: r.cf == 0 and r.zf == 0,
-        "ae": lambda r: r.cf == 0,
-        "s": lambda r: r.sf == 1,
-        "ns": lambda r: r.sf == 0,
-        "p": lambda r: r.pf == 1,
-        "np": lambda r: r.pf == 0,
-    }
-
-    def _branch_target(self, op) -> int:
-        if isinstance(op, Imm):
-            return op.value
-        return self.read_int(op, 8)
-
-    def _i_jmp(self, ins: Instruction) -> bool:
-        self.regs.rip = self._branch_target(ins.operands[0])
-        return True
-
-    def _i_jcc(self, ins: Instruction) -> bool:
-        cond = self._COND[ins.mnemonic[1:]]
-        if cond(self.regs):
-            self.regs.rip = self._branch_target(ins.operands[0])
-        else:
-            self.regs.rip = ins.next_addr
-        return True
-
-    def _i_setcc(self, ins: Instruction) -> bool:
-        cond = self._COND[ins.mnemonic[3:]]
-        self.write_int(ins.operands[0], 1 if cond(self.regs) else 0, 1)
-        return False
-
-    def _i_cmovcc(self, ins: Instruction) -> bool:
-        cond = self._COND[ins.mnemonic[4:]]
-        if cond(self.regs):
-            size = self._op_size(ins)
-            self.write_int(ins.operands[0],
-                           self.read_int(ins.operands[1], size), size)
-        return False
-
-    def _i_call(self, ins: Instruction) -> bool:
-        target = self._branch_target(ins.operands[0])
-        self.push(ins.next_addr)
-        ext = self.externs.get(target)
-        if ext is not None:
-            if self.trace is None:
-                ext(self)
-            else:
-                before = self.cost.cycles
-                ext(self)
-                self.trace.emit(ExternCallEvent(
-                    cycles=self.cost.cycles,
-                    addr=ins.addr,
-                    name=self._extern_names.get(target, hex(target)),
-                    cycles_spent=self.cost.cycles - before,
-                ))
-            self.regs.rip = self.pop()
-        else:
-            self.regs.rip = target
-        return True
-
-    def _i_ret(self, ins: Instruction) -> bool:
-        addr = self.pop()
-        if addr == EXIT_ADDR:
-            self.halted = True
-            self.exit_code = _signed(self.regs.get_gpr("rax"), 4)
-            return True
-        self.regs.rip = addr
-        return True
-
-    def _i_nop(self, ins: Instruction) -> bool:
-        return False
-
-    def _i_hlt(self, ins: Instruction) -> bool:
-        self.halted = True
-        self.exit_code = _signed(self.regs.get_gpr("rax"), 4)
-        return True
-
-    def _i_int3(self, ins: Instruction) -> bool:
-        raise MachineError(f"breakpoint at {ins.addr:#x}")
-
-    def _i_ud2(self, ins: Instruction) -> bool:
-        raise MachineError(f"undefined instruction executed at {ins.addr:#x}")
-
-    def _i_fpvm_trap(self, ins: Instruction) -> bool:
-        """A statically patched site (paper §4.2): demote, then re-execute.
-
-        ``payload`` is ``{"kind": "sink"|"call_demote", "original": ins}``.
-        Without an installed handler the patch is a transparent no-op
-        (nothing can be NaN-boxed), so patched binaries stay runnable
-        outside FPVM.
-        """
-        original: Instruction = ins.payload["original"]
-        self.correctness_trap_count += 1
-        if self.correctness_handler is not None:
-            self._charge_delivery("correctness", "correctness")
-            frame = TrapFrame(TrapKind.CORRECTNESS, ins.addr, original,
-                              detail=ins.payload)
-            self.correctness_handler(self, frame)
-        # a patched site retires as ONE architectural instruction: the
-        # trap is delivery plumbing, not a second retirement (keeps
-        # instr_count identical between pruned and conservative runs)
-        self.instr_count -= 1
-        self.execute(original)
-        return True
-
-    def _i_fpvm_patch(self, ins: Instruction) -> bool:
-        """A trap-and-patch site (§3.2): inline check instead of a fault."""
-        if self.patch_handler is None:
-            self.execute(ins.payload["original"])
-            return True
-        return self.patch_handler(self, ins)
-
-    # ------------------------------------------------------------------ #
-    # SSE scalar double arithmetic                                        #
-    # ------------------------------------------------------------------ #
-
-    _SCALAR_OPS = {"addsd": "add64", "subsd": "sub64", "mulsd": "mul64",
-                   "divsd": "div64", "minsd": "min64", "maxsd": "max64"}
-
-    def _f_scalar(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a = self.regs.xmm_lo(dst.index)
-        b = self.read_f64(ins.operands[1])
-        r, fl = getattr(self.fpu, self._SCALAR_OPS[ins.mnemonic])(a, b)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    def _f_sqrtsd(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a = self.read_f64(ins.operands[1])
-        r, fl = self.fpu.sqrt64(a)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    def _f_fmaddsd(self, ins: Instruction) -> bool:
-        """fmaddsd dst, s1, s2  =>  dst.lo = s1*s2 + dst.lo (vfmadd231sd)."""
-        dst = ins.operands[0]
-        a = self.read_f64(ins.operands[1])
-        b = self.read_f64(ins.operands[2])
-        c = self.regs.xmm_lo(dst.index)
-        r, fl = self.fpu.fma64(a, b, c)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    # ------------------------------------------------------------------ #
-    # SSE packed double                                                   #
-    # ------------------------------------------------------------------ #
-
-    _PACKED_OPS = {"addpd": "add64", "subpd": "sub64", "mulpd": "mul64",
-                   "divpd": "div64", "minpd": "min64", "maxpd": "max64"}
-
-    def _f_packed(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        alo, ahi = self.regs.xmm_lo(dst.index), self.regs.xmm_hi(dst.index)
-        blo, bhi = self.read_xmm128(ins.operands[1])
-        fn = getattr(self.fpu, self._PACKED_OPS[ins.mnemonic])
-        rlo, flo = fn(alo, blo)
-        rhi, fhi = fn(ahi, bhi)
-        if self._fp_event(ins, flo | fhi):
-            return True
-        self.regs.set_xmm(dst.index, rlo, rhi)
-        return False
-
-    def _f_sqrtpd(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        blo, bhi = self.read_xmm128(ins.operands[1])
-        rlo, flo = self.fpu.sqrt64(blo)
-        rhi, fhi = self.fpu.sqrt64(bhi)
-        if self._fp_event(ins, flo | fhi):
-            return True
-        self.regs.set_xmm(dst.index, rlo, rhi)
-        return False
-
-    # ------------------------------------------------------------------ #
-    # SSE scalar single (enough for the "float problem")                  #
-    # ------------------------------------------------------------------ #
-
-    _SCALAR32_OPS = {"addss": "add32", "subss": "sub32", "mulss": "mul32",
-                     "divss": "div32"}
-
-    def _f_scalar32(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a = self.regs.xmm_lo(dst.index) & 0xFFFF_FFFF
-        b = self.read_f32(ins.operands[1])
-        r, fl = getattr(self.fpu, self._SCALAR32_OPS[ins.mnemonic])(a, b)
-        if self._fp_event(ins, fl):
-            return True
-        lo = (self.regs.xmm_lo(dst.index) & ~0xFFFF_FFFF) | r
-        self.regs.set_xmm_lo(dst.index, lo)
-        return False
-
-    # ------------------------------------------------------------------ #
-    # comparisons                                                         #
-    # ------------------------------------------------------------------ #
-
-    def _f_ucomi(self, ins: Instruction) -> bool:
-        a = self.regs.xmm_lo(ins.operands[0].index)
-        b = self.read_f64(ins.operands[1])
-        (zf, pf, cf), fl = self.fpu.ucomi64(a, b)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_compare_flags(zf, pf, cf)
-        return False
-
-    def _f_comi(self, ins: Instruction) -> bool:
-        a = self.regs.xmm_lo(ins.operands[0].index)
-        b = self.read_f64(ins.operands[1])
-        (zf, pf, cf), fl = self.fpu.comi64(a, b)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_compare_flags(zf, pf, cf)
-        return False
-
-    def _f_cmpsd(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a = self.regs.xmm_lo(dst.index)
-        b = self.read_f64(ins.operands[1])
-        pred = ins.operands[2].value
-        r, fl = self.fpu.cmp64(a, b, pred)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    # ------------------------------------------------------------------ #
-    # conversions                                                         #
-    # ------------------------------------------------------------------ #
-
-    def _f_cvtsi2sd(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        if isinstance(src, Reg):
-            size = src.size
-        else:
-            size = src.size
-        v = self.read_int(src, size)
-        if size == 4:
-            r, fl = self.fpu.cvt_i32_to_f64(v)
-        else:
-            r, fl = self.fpu.cvt_i64_to_f64(v)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    def _cvt_f64_to_int(self, ins: Instruction, truncate: bool) -> bool:
-        dst, src = ins.operands
-        a = self.read_f64(src)
-        if dst.size == 4:
-            r, fl = self.fpu.cvt_f64_to_i32(a, truncate)
-        else:
-            r, fl = self.fpu.cvt_f64_to_i64(a, truncate)
-        if self._fp_event(ins, fl):
-            return True
-        self.write_int(dst, r, dst.size)
-        return False
-
-    def _f_cvttsd2si(self, ins: Instruction) -> bool:
-        return self._cvt_f64_to_int(ins, truncate=True)
-
-    def _f_cvtsd2si(self, ins: Instruction) -> bool:
-        return self._cvt_f64_to_int(ins, truncate=False)
-
-    def _f_cvtsd2ss(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a = self.read_f64(ins.operands[1])
-        r32, fl = self.fpu.cvt_f64_to_f32(a)
-        if self._fp_event(ins, fl):
-            return True
-        lo = (self.regs.xmm_lo(dst.index) & ~0xFFFF_FFFF) | r32
-        self.regs.set_xmm_lo(dst.index, lo)
-        return False
-
-    def _f_cvtss2sd(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a32 = self.read_f32(ins.operands[1])
-        r, fl = self.fpu.cvt_f32_to_f64(a32)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    def _f_roundsd(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        a = self.read_f64(ins.operands[1])
-        mode = ins.operands[2].value & 3
-        r, fl = self.fpu.round64(a, mode)
-        if self._fp_event(ins, fl):
-            return True
-        self.regs.set_xmm_lo(dst.index, r)
-        return False
-
-    # ------------------------------------------------------------------ #
-    # FP moves & bitwise — the non-faulting "correctness hole" ops        #
-    # ------------------------------------------------------------------ #
-
-    def _f_movsd(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        if isinstance(dst, Xmm) and isinstance(src, Xmm):
-            self.regs.set_xmm_lo(dst.index, self.regs.xmm_lo(src.index))
-        elif isinstance(dst, Xmm):
-            self.regs.set_xmm(dst.index, self.memory.read(self.ea(src), 8), 0)
-        else:
-            self.memory.write(self.ea(dst), 8, self.regs.xmm_lo(src.index))
-        return False
-
-    def _f_movss(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        if isinstance(dst, Xmm) and isinstance(src, Xmm):
-            lo = (self.regs.xmm_lo(dst.index) & ~0xFFFF_FFFF) | (
-                self.regs.xmm_lo(src.index) & 0xFFFF_FFFF)
-            self.regs.set_xmm_lo(dst.index, lo)
-        elif isinstance(dst, Xmm):
-            self.regs.set_xmm(dst.index, self.memory.read(self.ea(src), 4), 0)
-        else:
-            self.memory.write(self.ea(dst), 4,
-                              self.regs.xmm_lo(src.index) & 0xFFFF_FFFF)
-        return False
-
-    def _f_movq(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        if isinstance(dst, Xmm):
-            if isinstance(src, Reg):
-                v = self.regs.get_gpr(src.name)
-            elif isinstance(src, Xmm):
-                v = self.regs.xmm_lo(src.index)
-            else:
-                v = self.memory.read(self.ea(src), 8)
-            self.regs.set_xmm(dst.index, v, 0)
-        else:
-            v = self.regs.xmm_lo(src.index)
-            if isinstance(dst, Reg):
-                self.regs.set_gpr(dst.name, v)
-            else:
-                self.memory.write(self.ea(dst), 8, v)
-        return False
-
-    def _f_movapd(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        lo, hi = self.read_xmm128(src)
-        if isinstance(dst, Xmm):
-            self.regs.set_xmm(dst.index, lo, hi)
-        else:
-            a = self.ea(dst)
-            self.memory.write(a, 8, lo)
-            self.memory.write(a + 8, 8, hi)
-        return False
-
-    def _f_movhpd(self, ins: Instruction) -> bool:
-        dst, src = ins.operands
-        if isinstance(dst, Xmm):
-            self.regs.set_xmm_hi(dst.index, self.memory.read(self.ea(src), 8))
-        else:
-            self.memory.write(self.ea(dst), 8, self.regs.xmm_hi(src.index))
-        return False
-
-    def _f_bitwise(self, ins: Instruction) -> bool:
-        dst = ins.operands[0]
-        alo, ahi = self.regs.xmm_lo(dst.index), self.regs.xmm_hi(dst.index)
-        blo, bhi = self.read_xmm128(ins.operands[1])
-        mn = ins.mnemonic
-        if mn == "xorpd":
-            rlo, rhi = alo ^ blo, ahi ^ bhi
-        elif mn == "andpd":
-            rlo, rhi = alo & blo, ahi & bhi
-        elif mn == "orpd":
-            rlo, rhi = alo | blo, ahi | bhi
-        else:  # andnpd: (~dst) & src
-            rlo, rhi = (~alo) & blo, (~ahi) & bhi
-        self.regs.set_xmm(dst.index, rlo, rhi)
-        return False

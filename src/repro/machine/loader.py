@@ -15,17 +15,14 @@ def load_binary(
     platform: Platform = R815,
     heap_size: int = 8 << 20,
     stack_size: int = 1 << 20,
-    predecode: bool = True,
 ) -> Machine:
     """Create a ready-to-run Machine for ``binary``.
 
     Every import must resolve to a built-in libc/libm implementation —
-    the simulated dynamic linker refuses to lazy-bind.  ``predecode``
-    selects the compiled fast-path interpreter (default) vs. the legacy
-    per-step dispatch loop (kept for differential testing).
+    the simulated dynamic linker refuses to lazy-bind.
     """
     m = Machine(binary, platform=platform, heap_size=heap_size,
-                stack_size=stack_size, predecode=predecode)
+                stack_size=stack_size)
     for name, addr in binary.imports.items():
         impl = BINDINGS.get(name)
         if impl is None:

@@ -1,27 +1,33 @@
-"""Predecode: compile Instructions into specialized closures (threaded code).
+"""Predecode: the x64 subset's scalar semantics, compiled per instruction.
 
-The legacy interpreter re-derives everything per dynamic instruction:
-``Machine.execute`` looks the handler up by mnemonic string, walks the
-operand tuple with isinstance chains, and recomputes the memory-access
-cost on every step.  This module amortizes all of that to load time —
-the same lesson the paper draws for its decode cache (§4.1, "the
-decode cache is critical to lowering latencies"), applied to the host
-interpreter itself.
-
-``compile_program`` maps every text-section instruction to a
-zero-argument closure: operand accessors are resolved once (register
+Every instruction the simulated machine runs is a closure built here.
+``compile_program`` maps each text-section instruction to a
+zero-argument *step*: operand accessors are resolved once (register
 index vs. immediate vs. partially evaluated effective address), the
-per-instruction cost (base + memory accesses) is folded into one
-constant, and the semantic body is bound directly.  ``Machine.run``
-then becomes a tight ``rip -> closure`` fetch loop with no string
-dispatch or isinstance checks on the hot path.
+per-instruction cost (``costmodel.instruction_cost``) is folded into
+one constant, and the semantic body is bound directly.  ``Machine.run``
+is then a tight ``rip -> closure`` fetch loop with no string dispatch
+or isinstance checks on the hot path — the lesson the paper draws for
+its decode cache (§4.1, "the decode cache is critical to lowering
+latencies"), applied to the host interpreter itself.
 
-Every closure must be observationally identical to the legacy
-``Machine.execute`` path: same architectural effects, same
-``instr_count``/``fp_instr_count`` increments, same cost-model charges
-in the same order (floats accumulate identically), same trap-delivery
-behavior.  ``tests/property/test_prop_predecode.py`` enforces this
-differentially.
+A step *retires* its instruction: it counts it in ``instr_count`` (and
+in ``fp_instr_count`` when the instruction consults MXCSR), charges its
+cost, and runs the body.  ``fpvm_trap``/``fpvm_patch`` sites retire as
+the instruction they replaced.  ``Machine.execute`` runs a body without
+retiring, for the trap and patch handlers that re-execute an
+instruction which already retired — so every instruction retires
+exactly once.
+
+Trap-capable FP bodies compute the result and MXCSR events first and
+commit nothing when ``Machine._fp_event`` delivers a fault, leaving RIP
+at the faulting instruction (the precise-fault contract of §4.1).
+
+Two loops run these steps: the superblock loop fuses straight-line
+runs (``compile_blocks``), the stepping loop (any watchdog or
+instruction budget, and ``Machine.step``) runs one step at a time.
+``tests/property/test_prop_predecode.py`` checks that they agree in
+full state; ``tests/unit/test_predecode.py`` pins the semantics by hand.
 
 Binary patching (trap-and-patch §3.2, the static patcher §4.2) swaps
 instructions at runtime; ``Binary.replace_instruction`` notifies the
@@ -32,8 +38,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.errors import MachineError
+from repro.isa.opcodes import is_fp_trapping
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
+from repro.machine.costmodel import instruction_cost
+from repro.machine.traps import TrapFrame, TrapKind
 from repro.trace.events import ExternCallEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +54,47 @@ _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 _M32 = 0xFFFF_FFFF
 
 Step = Callable[[], None]
+
+#: PF of every low byte: 1 when it has an even number of set bits
+_PARITY = tuple(1 - (bin(i).count("1") & 1) for i in range(256))
+
+#: condition-code suffix -> predicate over the flag register file
+_COND = {
+    "e": lambda r: r.zf == 1,
+    "ne": lambda r: r.zf == 0,
+    "l": lambda r: r.sf != r.of,
+    "le": lambda r: r.zf == 1 or r.sf != r.of,
+    "g": lambda r: r.zf == 0 and r.sf == r.of,
+    "ge": lambda r: r.sf == r.of,
+    "b": lambda r: r.cf == 1,
+    "be": lambda r: r.cf == 1 or r.zf == 1,
+    "a": lambda r: r.cf == 0 and r.zf == 0,
+    "ae": lambda r: r.cf == 0,
+    "s": lambda r: r.sf == 1,
+    "ns": lambda r: r.sf == 0,
+    "p": lambda r: r.pf == 1,
+    "np": lambda r: r.pf == 0,
+}
+
+#: SSE mnemonic -> SoftFPU method
+_SCALAR_OPS = {"addsd": "add64", "subsd": "sub64", "mulsd": "mul64",
+               "divsd": "div64", "minsd": "min64", "maxsd": "max64"}
+_PACKED_OPS = {"addpd": "add64", "subpd": "sub64", "mulpd": "mul64",
+               "divpd": "div64", "minpd": "min64", "maxpd": "max64"}
+_SCALAR32_OPS = {"addss": "add32", "subss": "sub32", "mulss": "mul32",
+                 "divss": "div32"}
+
+
+def _op_size(ins: "Instruction", default: int = 8) -> int:
+    """Operand width: the first register operand's, else the first
+    memory operand's, else ``default``."""
+    for op in ins.operands:
+        if isinstance(op, Reg):
+            return op.size
+    for op in ins.operands:
+        if isinstance(op, Mem):
+            return op.size
+    return default
 
 
 # --------------------------------------------------------------------------- #
@@ -84,7 +135,7 @@ def _ea_closure(m: "Machine", mem: Mem) -> Callable[[], int]:
 
 
 def _int_reader(m: "Machine", op, size: int) -> Callable[[], int]:
-    """Closure equivalent of ``Machine.read_int(op, size)``."""
+    """Read closure for an integer operand, masked to ``size`` bytes."""
     if isinstance(op, Reg):
         gpr = m.regs.gpr
         canon = canonical(op.name)
@@ -104,7 +155,8 @@ def _int_reader(m: "Machine", op, size: int) -> Callable[[], int]:
 
 
 def _int_writer(m: "Machine", op, size: int) -> Callable[[int], None]:
-    """Closure equivalent of ``Machine.write_int(op, value, size)``."""
+    """Write closure for an integer destination (``size``-byte store;
+    4-byte register stores zero-extend, narrower ones merge)."""
     if isinstance(op, Reg):
         gpr = m.regs.gpr
         canon = canonical(op.name)
@@ -173,20 +225,6 @@ def _xmm128_reader(m: "Machine", op) -> Callable[[], tuple[int, int]]:
 # compilation entry points                                                     #
 # --------------------------------------------------------------------------- #
 
-def _base_cost(m: "Machine", ins: "Instruction") -> float:
-    """Fold the per-step cost computation into one constant.
-
-    Must accumulate in the same order as the legacy ``execute`` so the
-    float result is bit-identical.
-    """
-    cost = m._cost_table[ins.mnemonic]
-    mem_cycles = m.cost.platform.mem_access_cycles
-    for op in ins.operands:
-        if isinstance(op, Mem):
-            cost = cost + mem_cycles
-    return cost
-
-
 def compile_program(m: "Machine") -> dict[int, Step]:
     """Compile every text-section instruction to its closure."""
     return {ins.addr: compile_instruction(m, ins) for ins in m.binary.text}
@@ -195,13 +233,12 @@ def compile_program(m: "Machine") -> dict[int, Step]:
 # mnemonics whose compiled closure is guaranteed to fall through to
 # next_addr — never branches, halts, traps, or early-returns — so a
 # straight-line run of them can be fused into one superblock closure.
-# FP-arith/cmp/cvt are excluded (fault delivery may abort the step),
-# as is anything handled by the generic maker.
+# FP-arith/cmp/cvt are excluded (fault delivery may abort the step).
 _BLOCK_SAFE = frozenset(
     ["mov", "movabs", "movzx", "movsx", "lea", "xchg", "push", "pop",
      "add", "sub", "and", "or", "xor", "cmp", "test",
-     "shl", "shr", "sar", "inc", "dec", "imul", "nop",
-     "movsd", "movq", "movapd", "movupd",
+     "shl", "shr", "sar", "inc", "dec", "not", "neg", "imul", "cqo", "nop",
+     "movsd", "movss", "movq", "movapd", "movupd", "movhpd",
      "xorpd", "andpd", "orpd", "andnpd"]
     + ["set" + cc for cc in ("e", "ne", "l", "le", "g", "ge", "b", "be",
                              "a", "ae", "p", "np")]
@@ -214,7 +251,7 @@ def _block_at(m: "Machine", steps: dict[int, Step], addr: int) -> Step:
 
     The chain covers every fall-through-only instruction from ``addr``
     up to and including the first "breaker" (branch, call/ret, FP op,
-    generic fallback) — the breaker handles its own RIP/trap/halt, and
+    halt, patch site) — the breaker handles its own RIP/trap/halt, and
     control returns to the fetch loop right after it.
     """
     text_map = m.binary.text_map
@@ -288,17 +325,16 @@ def rebuild_blocks_around(m: "Machine", addr: int) -> None:
 
 
 def compile_instruction(m: "Machine", ins: "Instruction") -> Step:
-    """Compile one instruction: semantic body + accounting wrapper.
+    """Compile one instruction: semantic body + retirement wrapper.
 
     Makers return a zero-arg *body* — architectural semantics plus the
-    RIP update, no accounting.  The wrapper added here charges the
-    per-step cost exactly as the legacy ``execute`` does.  The body and
-    its folded cost stay reachable (``step._body`` / ``step._C``) so
-    ``_block_at`` can hoist the accounting for a whole fall-through run
-    and call the bodies directly.
+    RIP update, no accounting.  The wrapper added here retires the
+    instruction (module docstring).  The body and its folded cost stay
+    reachable (``step._body`` / ``step._C``) so ``_block_at`` can hoist
+    the accounting for a whole fall-through run and
+    ``Machine.execute`` can re-run a body without retiring it again.
     """
-    maker = _MAKERS.get(ins.mnemonic)
-    body = _make_generic(m, ins) if maker is None else maker(m, ins)
+    body = _MAKERS[ins.mnemonic](m, ins)
     if m.oracle is not None:
         probe = m.oracle.compile_probe(m, ins)
         if probe is not None:
@@ -307,30 +343,27 @@ def compile_instruction(m: "Machine", ins: "Instruction") -> Step:
             def body():
                 probe()
                 inner()
-    C = _base_cost(m, ins)
+    C = instruction_cost(m.cost.platform, ins)
     cost = m.cost
     buckets = cost.buckets
-
-    def step():
-        m.instr_count += 1
-        cost.cycles += C
-        buckets["base"] += C
-        body()
+    retires = (ins.payload["original"]
+               if ins.mnemonic in ("fpvm_trap", "fpvm_patch") else ins)
+    if is_fp_trapping(retires.mnemonic):
+        def step():
+            m.instr_count += 1
+            m.fp_instr_count += 1
+            cost.cycles += C
+            buckets["base"] += C
+            body()
+    else:
+        def step():
+            m.instr_count += 1
+            cost.cycles += C
+            buckets["base"] += C
+            body()
     step._body = body
     step._C = C
     return step
-
-
-def _make_generic(m: "Machine", ins: "Instruction") -> Step:
-    """Pre-bound fallback: legacy handler, but no dispatch/cost rework."""
-    handler = m._dispatch[ins.mnemonic]
-    regs = m.regs
-    nxt = ins.next_addr
-
-    def body():
-        if not handler(ins):
-            regs.rip = nxt
-    return body
 
 
 def _fallthrough(m: "Machine", ins: "Instruction",
@@ -350,7 +383,7 @@ def _fallthrough(m: "Machine", ins: "Instruction",
 # --------------------------------------------------------------------------- #
 
 def _make_mov(m, ins):
-    size = m._op_size(ins)
+    size = _op_size(ins)
     dst, src = ins.operands
     w = _int_writer(m, dst, size)
     r = _int_reader(m, src, size)
@@ -477,7 +510,7 @@ def _make_lea(m, ins):
 
 def _make_xchg(m, ins):
     a, b = ins.operands
-    size = m._op_size(ins)
+    size = _op_size(ins)
     ra, wa = _int_reader(m, a, size), _int_writer(m, a, size)
     rb, wb = _int_reader(m, b, size), _int_writer(m, b, size)
 
@@ -520,7 +553,7 @@ def _make_pop(m, ins):
 
 def _alu_parts(m, ins):
     dst, src = ins.operands
-    size = m._op_size(ins)
+    size = _op_size(ins)
     bits = 8 * size
     mask = (1 << bits) - 1
     rd = _int_reader(m, dst, size)
@@ -531,7 +564,6 @@ def _alu_parts(m, ins):
 
 
 def _make_addsub(m, ins):
-    from repro.machine.cpu import _PARITY
     rd, rs, wd, bits, mask = _alu_parts(m, ins)
     regs = m.regs
     nxt = ins.next_addr
@@ -566,7 +598,6 @@ def _make_addsub(m, ins):
 
 
 def _make_cmp(m, ins):
-    from repro.machine.cpu import _PARITY
     rd, rs, _, bits, mask = _alu_parts(m, ins)
     regs = m.regs
     nxt = ins.next_addr
@@ -587,7 +618,6 @@ def _make_cmp(m, ins):
 
 
 def _make_logic(m, ins):
-    from repro.machine.cpu import _PARITY
     rd, rs, wd, bits, mask = _alu_parts(m, ins)
     regs = m.regs
     nxt = ins.next_addr
@@ -610,9 +640,8 @@ def _make_logic(m, ins):
 
 
 def _make_shift(m, ins):
-    from repro.machine.cpu import _PARITY
     dst, src = ins.operands
-    size = dst.size if isinstance(dst, Reg) else m._op_size(ins)
+    size = dst.size if isinstance(dst, Reg) else _op_size(ins)
     bits = 8 * size
     full = (1 << bits) - 1
     cmask = 63 if bits == 64 else 31
@@ -648,8 +677,7 @@ def _make_shift(m, ins):
 
 
 def _make_incdec(m, ins):
-    from repro.machine.cpu import _PARITY
-    size = m._op_size(ins)
+    size = _op_size(ins)
     bits = 8 * size
     mask = (1 << bits) - 1
     rd = _int_reader(m, ins.operands[0], size)
@@ -672,9 +700,8 @@ def _make_incdec(m, ins):
 
 
 def _make_imul(m, ins):
-    from repro.machine.cpu import _PARITY
     dst, src = ins.operands
-    size = m._op_size(ins)
+    size = _op_size(ins)
     bits = 8 * size
     mask = (1 << bits) - 1
     top = 1 << (bits - 1)
@@ -705,12 +732,77 @@ def _make_imul(m, ins):
     return body
 
 
+def _make_not(m, ins):
+    size = _op_size(ins)
+    rd = _int_reader(m, ins.operands[0], size)
+    wd = _int_writer(m, ins.operands[0], size)
+    return _fallthrough(m, ins, lambda: wd(~rd()))
+
+
+def _make_neg(m, ins):
+    size = _op_size(ins)
+    bits = 8 * size
+    mask = (1 << bits) - 1
+    top = 1 << (bits - 1)
+    rd = _int_reader(m, ins.operands[0], size)
+    wd = _int_writer(m, ins.operands[0], size)
+    regs = m.regs
+    shift = bits - 1
+
+    def body():
+        v = rd()
+        r = (-v) & mask
+        regs.cf = 0 if v == 0 else 1
+        regs.of = 1 if v == top else 0
+        regs.zf = 1 if r == 0 else 0
+        regs.sf = r >> shift
+        regs.pf = _PARITY[r & 0xFF]
+        wd(r)
+    return _fallthrough(m, ins, body)
+
+
+def _make_idiv(m, ins):
+    """rdx:rax / src -> rax quotient (toward zero), rdx remainder."""
+    addr = ins.addr
+    if _op_size(ins) != 8:
+        def body():
+            raise MachineError("idiv modeled for 64-bit operands only")
+        return body
+    rs = _int_reader(m, ins.operands[0], 8)
+    gpr = m.regs.gpr
+
+    def body():
+        dv = rs()
+        if dv >> 63:
+            dv -= 1 << 64
+        if dv == 0:
+            raise MachineError(f"integer divide by zero at {addr:#x}")
+        d128 = (gpr["rdx"] << 64) | gpr["rax"]
+        if d128 >> 127:
+            d128 -= 1 << 128
+        q = int(d128 / dv)  # truncation toward zero
+        r = d128 - q * dv
+        if not (-(1 << 63) <= q < (1 << 63)):
+            raise MachineError(f"idiv overflow at {addr:#x}")
+        gpr["rax"] = q & _MASK64
+        gpr["rdx"] = r & _MASK64
+    return _fallthrough(m, ins, body)
+
+
+def _make_cqo(m, ins):
+    gpr = m.regs.gpr
+
+    def body():
+        gpr["rdx"] = _MASK64 if gpr["rax"] >> 63 else 0
+    return _fallthrough(m, ins, body)
+
+
 # --------------------------------------------------------------------------- #
 # control flow                                                                 #
 # --------------------------------------------------------------------------- #
 
 def _branch_reader(m, op):
-    """Closure for Machine._branch_target(op)."""
+    """Branch target closure: an immediate, else the 8-byte operand."""
     if isinstance(op, Imm):
         t = op.value
         return lambda: t
@@ -739,9 +831,8 @@ def _make_jmp(m, ins):
 
 
 def _make_jcc(m, ins):
-    from repro.machine.cpu import Machine
     regs = m.regs
-    cond = Machine._COND[ins.mnemonic[1:]]
+    cond = _COND[ins.mnemonic[1:]]
     nxt = ins.next_addr
     op = ins.operands[0]
     if isinstance(op, Imm):
@@ -769,8 +860,7 @@ def _make_jcc(m, ins):
 
 
 def _make_setcc(m, ins):
-    from repro.machine.cpu import Machine
-    cond = Machine._COND[ins.mnemonic[3:]]
+    cond = _COND[ins.mnemonic[3:]]
     w = _int_writer(m, ins.operands[0], 1)
     regs = m.regs
     nxt = ins.next_addr
@@ -782,9 +872,8 @@ def _make_setcc(m, ins):
 
 
 def _make_cmovcc(m, ins):
-    from repro.machine.cpu import Machine
-    cond = Machine._COND[ins.mnemonic[4:]]
-    size = m._op_size(ins)
+    cond = _COND[ins.mnemonic[4:]]
+    size = _op_size(ins)
     r = _int_reader(m, ins.operands[1], size)
     w = _int_writer(m, ins.operands[0], size)
     regs = m.regs
@@ -859,15 +948,73 @@ def _make_nop(m, ins):
     return _fallthrough(m, ins, body)
 
 
+def _make_hlt(m, ins):
+    gpr = m.regs.gpr
+
+    def body():
+        m.halted = True
+        v = gpr["rax"] & _M32
+        m.exit_code = v - (1 << 32) if v >> 31 else v
+    return body
+
+
+def _make_fault(message):
+    def make(m, ins):
+        text = f"{message} at {ins.addr:#x}"
+
+        def body():
+            raise MachineError(text)
+        return body
+    return make
+
+
+def _make_fpvm_trap(m, ins):
+    """A statically patched site (paper §4.2): demote, then re-execute.
+
+    ``payload`` is ``{"kind": "sink"|"call_demote", "original": ins}``.
+    Without an installed handler the patch is a transparent no-op
+    (nothing can be NaN-boxed), so patched binaries stay runnable
+    outside FPVM.  Either way the site retires once, as the original.
+    """
+    original = ins.payload["original"]
+    execute = m.execute
+    charge_delivery = m._charge_delivery
+    frame_args = (TrapKind.CORRECTNESS, ins.addr, original)
+
+    def body():
+        m.correctness_trap_count += 1
+        handler = m.correctness_handler
+        if handler is not None:
+            charge_delivery("correctness", "correctness")
+            handler(m, TrapFrame(*frame_args, detail=ins.payload))
+        execute(original)
+    return body
+
+
+def _make_fpvm_patch(m, ins):
+    """A trap-and-patch site (§3.2): inline check instead of a fault."""
+    original = ins.payload["original"]
+    execute = m.execute
+    regs = m.regs
+    nxt = ins.next_addr
+
+    def body():
+        handler = m.patch_handler
+        if handler is None:
+            execute(original)
+        elif not handler(m, ins):
+            regs.rip = nxt
+    return body
+
+
 # --------------------------------------------------------------------------- #
 # SSE — trap-capable ops keep the exact _fp_event contract                     #
 # --------------------------------------------------------------------------- #
 
 def _make_f_scalar(m, ins):
-    from repro.machine.cpu import Machine
     regs = m.regs
     nxt = ins.next_addr
-    fn = getattr(m.fpu, Machine._SCALAR_OPS[ins.mnemonic])
+    fn = getattr(m.fpu, _SCALAR_OPS[ins.mnemonic])
     lanes = m.regs.xmm[ins.operands[0].index]
     rs = _f64_reader(m, ins.operands[1])
     fp_event = m._fp_event
@@ -882,10 +1029,9 @@ def _make_f_scalar(m, ins):
 
 
 def _make_f_scalar32(m, ins):
-    from repro.machine.cpu import Machine
     regs = m.regs
     nxt = ins.next_addr
-    fn = getattr(m.fpu, Machine._SCALAR32_OPS[ins.mnemonic])
+    fn = getattr(m.fpu, _SCALAR32_OPS[ins.mnemonic])
     lanes = m.regs.xmm[ins.operands[0].index]
     rs = _f32_reader(m, ins.operands[1])
     fp_event = m._fp_event
@@ -900,10 +1046,9 @@ def _make_f_scalar32(m, ins):
 
 
 def _make_f_packed(m, ins):
-    from repro.machine.cpu import Machine
     regs = m.regs
     nxt = ins.next_addr
-    fn = getattr(m.fpu, Machine._PACKED_OPS[ins.mnemonic])
+    fn = getattr(m.fpu, _PACKED_OPS[ins.mnemonic])
     lanes = m.regs.xmm[ins.operands[0].index]
     rs = _xmm128_reader(m, ins.operands[1])
     fp_event = m._fp_event
@@ -920,12 +1065,51 @@ def _make_f_packed(m, ins):
     return body
 
 
-def _make_sqrtsd(m, ins):
+def _make_sqrtpd(m, ins):
     regs = m.regs
     nxt = ins.next_addr
     fn = m.fpu.sqrt64
     lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _f64_reader(m, ins.operands[1])
+    rs = _xmm128_reader(m, ins.operands[1])
+    fp_event = m._fp_event
+
+    def body():
+        blo, bhi = rs()
+        rlo, flo = fn(blo)
+        rhi, fhi = fn(bhi)
+        if fp_event(ins, flo | fhi):
+            return
+        lanes[0] = rlo & _MASK64
+        lanes[1] = rhi & _MASK64
+        regs.rip = nxt
+    return body
+
+
+def _make_fmaddsd(m, ins):
+    """fmaddsd dst, s1, s2  =>  dst.lo = s1*s2 + dst.lo (vfmadd231sd)."""
+    regs = m.regs
+    nxt = ins.next_addr
+    fn = m.fpu.fma64
+    lanes = m.regs.xmm[ins.operands[0].index]
+    ra = _f64_reader(m, ins.operands[1])
+    rb = _f64_reader(m, ins.operands[2])
+    fp_event = m._fp_event
+
+    def body():
+        r, fl = fn(ra(), rb(), lanes[0])
+        if fp_event(ins, fl):
+            return
+        lanes[0] = r & _MASK64
+        regs.rip = nxt
+    return body
+
+
+def _make_to_lo(m, ins, fn, rs):
+    """dst.lo = fn(rs()) for an XMM destination: a unary op or a
+    widening conversion."""
+    regs = m.regs
+    nxt = ins.next_addr
+    lanes = m.regs.xmm[ins.operands[0].index]
     fp_event = m._fp_event
 
     def body():
@@ -933,6 +1117,83 @@ def _make_sqrtsd(m, ins):
         if fp_event(ins, fl):
             return
         lanes[0] = r & _MASK64
+        regs.rip = nxt
+    return body
+
+
+def _make_sqrtsd(m, ins):
+    return _make_to_lo(m, ins, m.fpu.sqrt64, _f64_reader(m, ins.operands[1]))
+
+
+def _make_roundsd(m, ins):
+    mode = ins.operands[2].value & 3
+    round64 = m.fpu.round64
+    return _make_to_lo(m, ins, lambda a: round64(a, mode),
+                       _f64_reader(m, ins.operands[1]))
+
+
+def _make_cvtss2sd(m, ins):
+    return _make_to_lo(m, ins, m.fpu.cvt_f32_to_f64,
+                       _f32_reader(m, ins.operands[1]))
+
+
+def _make_cvtsi2sd(m, ins):
+    src = ins.operands[1]
+    fn = m.fpu.cvt_i32_to_f64 if src.size == 4 else m.fpu.cvt_i64_to_f64
+    return _make_to_lo(m, ins, fn, _int_reader(m, src, src.size))
+
+
+def _make_cmpsd(m, ins):
+    regs = m.regs
+    nxt = ins.next_addr
+    fn = m.fpu.cmp64
+    pred = ins.operands[2].value
+    lanes = m.regs.xmm[ins.operands[0].index]
+    rs = _f64_reader(m, ins.operands[1])
+    fp_event = m._fp_event
+
+    def body():
+        r, fl = fn(lanes[0], rs(), pred)
+        if fp_event(ins, fl):
+            return
+        lanes[0] = r & _MASK64
+        regs.rip = nxt
+    return body
+
+
+def _make_cvtsd2si(m, ins):
+    """cvtsd2si / cvttsd2si: f64 -> signed integer register."""
+    dst, src = ins.operands
+    truncate = ins.mnemonic == "cvttsd2si"
+    fn = m.fpu.cvt_f64_to_i32 if dst.size == 4 else m.fpu.cvt_f64_to_i64
+    rs = _f64_reader(m, src)
+    wd = _int_writer(m, dst, dst.size)
+    regs = m.regs
+    nxt = ins.next_addr
+    fp_event = m._fp_event
+
+    def body():
+        r, fl = fn(rs(), truncate)
+        if fp_event(ins, fl):
+            return
+        wd(r)
+        regs.rip = nxt
+    return body
+
+
+def _make_cvtsd2ss(m, ins):
+    regs = m.regs
+    nxt = ins.next_addr
+    fn = m.fpu.cvt_f64_to_f32
+    lanes = m.regs.xmm[ins.operands[0].index]
+    rs = _f64_reader(m, ins.operands[1])
+    fp_event = m._fp_event
+
+    def body():
+        r32, fl = fn(rs())
+        if fp_event(ins, fl):
+            return
+        lanes[0] = ((lanes[0] & ~_M32) | r32) & _MASK64
         regs.rip = nxt
     return body
 
@@ -1047,6 +1308,52 @@ def _make_movapd(m, ins):
     return _fallthrough(m, ins, body)
 
 
+def _make_movss(m, ins):
+    dst, src = ins.operands
+    xmm = m.regs.xmm
+    if isinstance(dst, Xmm) and isinstance(src, Xmm):
+        d, s = xmm[dst.index], xmm[src.index]
+
+        def body():
+            d[0] = (d[0] & ~_M32) | (s[0] & _M32)
+    elif isinstance(dst, Xmm):
+        d = xmm[dst.index]
+        ea = _ea_closure(m, src)
+        read = m.memory.read
+
+        def body():
+            d[0] = read(ea(), 4)
+            d[1] = 0
+    else:
+        s = xmm[src.index]
+        ea = _ea_closure(m, dst)
+        write = m.memory.write
+
+        def body():
+            write(ea(), 4, s[0] & _M32)
+    return _fallthrough(m, ins, body)
+
+
+def _make_movhpd(m, ins):
+    dst, src = ins.operands
+    xmm = m.regs.xmm
+    if isinstance(dst, Xmm):
+        d = xmm[dst.index]
+        ea = _ea_closure(m, src)
+        read = m.memory.read
+
+        def body():
+            d[1] = read(ea(), 8)
+    else:
+        s = xmm[src.index]
+        ea = _ea_closure(m, dst)
+        write = m.memory.write
+
+        def body():
+            write(ea(), 8, s[1])
+    return _fallthrough(m, ins, body)
+
+
 def _make_f_bitwise(m, ins):
     mn = ins.mnemonic
     lanes = m.regs.xmm[ins.operands[0].index]
@@ -1085,29 +1392,34 @@ _MAKERS: dict[str, Callable[["Machine", "Instruction"], Step]] = {
     "test": _make_logic,
     "shl": _make_shift, "shr": _make_shift, "sar": _make_shift,
     "inc": _make_incdec, "dec": _make_incdec,
-    "imul": _make_imul,
+    "not": _make_not, "neg": _make_neg,
+    "imul": _make_imul, "idiv": _make_idiv, "cqo": _make_cqo,
     "jmp": _make_jmp, "call": _make_call, "ret": _make_ret,
-    "nop": _make_nop,
-    "movsd": _make_movsd, "movq": _make_movq,
+    "nop": _make_nop, "hlt": _make_hlt,
+    "int3": _make_fault("breakpoint"),
+    "ud2": _make_fault("undefined instruction executed"),
+    "fpvm_trap": _make_fpvm_trap, "fpvm_patch": _make_fpvm_patch,
+    "sqrtsd": _make_sqrtsd, "sqrtpd": _make_sqrtpd,
+    "fmaddsd": _make_fmaddsd, "roundsd": _make_roundsd,
+    "ucomisd": _make_ucomi, "comisd": _make_ucomi, "cmpsd": _make_cmpsd,
+    "cvtsi2sd": _make_cvtsi2sd,
+    "cvttsd2si": _make_cvtsd2si, "cvtsd2si": _make_cvtsd2si,
+    "cvtsd2ss": _make_cvtsd2ss, "cvtss2sd": _make_cvtss2sd,
+    "movsd": _make_movsd, "movss": _make_movss, "movq": _make_movq,
     "movapd": _make_movapd, "movupd": _make_movapd,
-    "sqrtsd": _make_sqrtsd,
-    "ucomisd": _make_ucomi, "comisd": _make_ucomi,
+    "movhpd": _make_movhpd,
     "xorpd": _make_f_bitwise, "andpd": _make_f_bitwise,
     "orpd": _make_f_bitwise, "andnpd": _make_f_bitwise,
 }
-for _cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae",
-            "s", "ns", "p", "np"):
+for _cc in _COND:
     _MAKERS["j" + _cc] = _make_jcc
 for _cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "p", "np"):
     _MAKERS["set" + _cc] = _make_setcc
 for _cc in ("e", "ne", "l", "g"):
     _MAKERS["cmov" + _cc] = _make_cmovcc
-for _mn in ("addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd"):
+for _mn in _SCALAR_OPS:
     _MAKERS[_mn] = _make_f_scalar
-for _mn in ("addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd"):
+for _mn in _PACKED_OPS:
     _MAKERS[_mn] = _make_f_packed
-for _mn in ("addss", "subss", "mulss", "divss"):
+for _mn in _SCALAR32_OPS:
     _MAKERS[_mn] = _make_f_scalar32
-# everything else (idiv/cqo/cvt*/cmpsd/roundsd/fmaddsd/movss/movhpd/
-# sqrtpd/hlt/int3/ud2/fpvm_trap/fpvm_patch/...) uses the pre-bound
-# generic fallback via compile_instruction

@@ -99,7 +99,6 @@ class Session:
         patch: bool = True,
         conservative: bool = False,
         delivery_scenario: str = "user",
-        predecode: bool = True,
         label: str = "",
         oracle=None,
         stdin: bytes | str = b"",
@@ -128,7 +127,6 @@ class Session:
         self.arith = arith
         self.patched = patch and arith is not None
         self.binary = binary
-        self.predecode = predecode
         self.delivery_scenario = delivery_scenario
         self._oracle = oracle
 
@@ -144,8 +142,7 @@ class Session:
             # below reuses it, and it dies with this constructor
             self.analysis, vsa = analyze_and_patch(
                 binary, conservative=conservative, keep_vsa=True)
-        self.machine = load_binary(binary, platform=platform,
-                                   predecode=predecode)
+        self.machine = load_binary(binary, platform=platform)
         self.machine.delivery_scenario = delivery_scenario
         self.machine.trace = self.trace
         if stdin:
@@ -327,7 +324,6 @@ class Session:
             arith=self.arith,
             config=self.config,
             analysis=self.analysis,
-            predecode=self.predecode,
             delivery_scenario=self.delivery_scenario,
             final_gc=final_gc,
         )

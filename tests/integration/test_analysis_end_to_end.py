@@ -79,16 +79,13 @@ def test_soundness_gprs_never_hold_live_boxes():
     fpvm.install(m)
 
     violations = []
-    orig_execute = m.execute
-
-    def checked_execute(ins):
-        orig_execute(ins)
+    while not m.halted:
+        ins = m.binary.instruction_at(m.regs.rip)
+        m.step()
         for name, bits in m.regs.gpr.items():
             if fpvm.emulator.is_live_box(bits):
                 violations.append((hex(ins.addr), ins.mnemonic, name))
-
-    m.execute = checked_execute
-    m.run()
+    assert m.instr_count > 0
     assert violations == []
 
 

@@ -4,7 +4,7 @@ The acceptance bar for the refinement: an instrumented unpatched run
 must never observe a live NaN-box being consumed at a site the static
 analysis left unpatched — on *every* registry workload, under a boxing
 arithmetic.  The oracle is also exercised negatively (a doctored
-report must produce violations) and for predecode/legacy parity.
+report must produce violations) and for superblock/stepping parity.
 """
 
 import pytest
@@ -92,20 +92,23 @@ class TestOracleObservations:
         assert res.ok, "\n".join(res.violations)
         assert res.observed_site_count > 0
 
-    def test_predecode_and_legacy_observations_agree(self):
-        def run(predecode):
+    def test_superblock_and_stepping_observations_agree(self):
+        """Oracle probes are compiled into the steps, so the fused
+        superblock loop and the one-step-at-a-time loop (an instruction
+        budget far above the run's length) observe the same sites."""
+        def run(max_instructions):
             sess = Session(_builder, "mpfr:64", patch=False,
-                           predecode=predecode, label="oracle")
+                           label="oracle")
             oracle = SoundnessOracle(sess.fpvm)
             sess.machine.set_oracle(oracle)
             try:
-                sess.run()
+                sess.run(max_instructions)
             except Exception:
                 pass
             return {key: obs.count
                     for key, obs in oracle.observations.items()}
 
-        assert run(True) == run(False)
+        assert run(None) == run(10 ** 12)
 
     def test_demote_on_observe_tracks_patched_run(self):
         """Demote-on-observe makes the instrumented unpatched run

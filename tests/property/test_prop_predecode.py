@@ -1,12 +1,15 @@
-"""Differential tests for the predecoded fast-path interpreter.
+"""Differential tests for the compiled interpreter's two run loops.
 
-The predecode layer (``repro.machine.predecode``) must be
-observationally identical to the legacy ``Machine.execute`` dispatch:
-same stdout, same exit code, same dynamic instruction count, and the
-same modeled cycles (bit-identical floats — the closures charge costs
-in the same accumulation order).  These tests compare both dispatchers
-over random compiled programs, every registry workload, and the FPVM
-trap path.
+``Machine.run`` has two loops over the same compiled steps
+(``repro.machine.predecode``): the superblock loop, which fuses
+straight-line runs and hoists their accounting, and the stepping loop,
+which runs every step unfused with a watchdog check after each.  A
+``Session.run(max_instructions=N)`` with ``N`` above the run's length
+takes the stepping loop without ever tripping the budget.  Both must
+be observationally identical: same stdout, exit code, instruction and
+FP counts, traps, bit-identical modeled cycles and buckets, and final
+registers.  These tests compare them over random compiled programs,
+every registry workload, and the FPVM trap and patch paths.
 """
 
 import pytest
@@ -19,16 +22,20 @@ from repro.workloads import WORKLOADS
 from repro.session import Session
 from repro.fpvm.runtime import FPVMConfig
 
+#: far above any run here: selects the stepping loop, never expires
+_NO_BUDGET = 10 ** 12
+
 
 def _observed(res):
     return (res.stdout, res.exit_code, res.instr_count,
-            res.fp_instr_count, res.cycles, res.buckets)
+            res.fp_instr_count, res.fp_traps, res.correctness_traps,
+            res.cycles, res.buckets, res.final_regs)
 
 
-def _assert_same(builder):
-    fast = Session(builder, None, predecode=True).run()
-    slow = Session(builder, None, predecode=False).run()
-    assert _observed(fast) == _observed(slow)
+def _assert_same(builder, arith=None, **kwargs):
+    fused = Session(builder, arith, **kwargs).run()
+    stepped = Session(builder, arith, **kwargs).run(_NO_BUDGET)
+    assert _observed(fused) == _observed(stepped)
 
 
 # --------------------------------------------------------------------------- #
@@ -109,14 +116,10 @@ def test_workload_native_dispatch_identical(name):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_fpvm_dispatch_identical(name):
-    """The trap path (closures call _fp_event) must deliver the same
-    faults, demotions, and cost charges under both dispatchers."""
+    """The trap path (bodies call _fp_event) must deliver the same
+    faults, demotions, and cost charges under both loops."""
     spec = WORKLOADS[name]
-    fast = Session(lambda: spec.build("test"), VanillaArithmetic(), predecode=True).run()
-    slow = Session(lambda: spec.build("test"), VanillaArithmetic(), predecode=False).run()
-    assert _observed(fast) == _observed(slow)
-    assert fast.fp_traps == slow.fp_traps
-    assert fast.correctness_traps == slow.correctness_traps
+    _assert_same(lambda: spec.build("test"), VanillaArithmetic())
 
 
 @pytest.mark.slow
@@ -126,15 +129,13 @@ def test_workload_fpvm_dispatch_identical(name):
 def test_workload_fpvm_modes_dispatch_identical_slow(name, mode):
     """The broad mode × workload sweep (excluded from tier-1)."""
     spec = WORKLOADS[name]
-    fast = Session(lambda: spec.build("test"), VanillaArithmetic(), config=FPVMConfig(mode=mode), predecode=True).run()
-    slow = Session(lambda: spec.build("test"), VanillaArithmetic(), config=FPVMConfig(mode=mode), predecode=False).run()
-    assert _observed(fast) == _observed(slow)
+    _assert_same(lambda: spec.build("test"), VanillaArithmetic(),
+                 config=FPVMConfig(mode=mode))
 
 
 def test_patch_mode_dispatch_identical():
-    """Trap-and-patch rewrites text mid-run; the predecoded table must
-    recompile the patched site and stay equivalent."""
+    """Trap-and-patch rewrites text mid-run; both loops must pick up
+    the recompiled site and its rebuilt superblocks."""
     spec = WORKLOADS["lorenz"]
-    fast = Session(lambda: spec.build("test"), VanillaArithmetic(), config=FPVMConfig(mode="trap-and-patch"), predecode=True).run()
-    slow = Session(lambda: spec.build("test"), VanillaArithmetic(), config=FPVMConfig(mode="trap-and-patch"), predecode=False).run()
-    assert _observed(fast) == _observed(slow)
+    _assert_same(lambda: spec.build("test"), VanillaArithmetic(),
+                 config=FPVMConfig(mode="trap-and-patch"))

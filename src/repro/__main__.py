@@ -171,8 +171,7 @@ def cmd_run(args) -> int:
                                  else "trap-and-emulate")
             config = FPVMConfig(mode=mode, trace=sink,
                                 jit_threshold=args.jit,
-                                trace_jit_threshold=args.trace_jit,
-                                gc_mode=args.gc_mode)
+                                trace_jit_threshold=args.trace_jit)
             session = Session(builder, arith, config=config,
                               patch=not args.no_patch,
                               delivery_scenario=args.scenario, label=label)
@@ -193,8 +192,7 @@ def cmd_run(args) -> int:
                              else "trap-and-emulate")
         config = FPVMConfig(mode=mode, trace=sink,
                             jit_threshold=args.jit,
-                            trace_jit_threshold=args.trace_jit,
-                            gc_mode=args.gc_mode)
+                            trace_jit_threshold=args.trace_jit)
         with Session(builder, arith, config=config,
                      patch=not args.no_patch,
                      delivery_scenario=args.scenario, label=label) as s:
@@ -587,11 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace-compile a hot loop after N "
                              "back-edge executions (0 disables; "
                              "trap-and-emulate mode only)")
-        sp.add_argument("--gc-mode", default="full",
-                        choices=("full", "incremental"),
-                        help="GC scan strategy: full rescans all "
-                             "writable memory each epoch; incremental "
-                             "scans only dirtied pages")
 
     run_p = sub.add_parser("run", help="execute under FPVM (or natively)",
                            parents=[batch_parent])

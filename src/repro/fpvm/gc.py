@@ -46,12 +46,6 @@ class GCPassStats:
     words_scanned: int
     latency_s: float
     modeled_cycles: int
-    #: incremental mode only: freshly scanned / total pages in range,
-    #: and marks replayed from clean pages' remembered candidate sets
-    pages_scanned: int = 0
-    pages_total: int = 0
-    remembered_marks: int = 0
-    incremental: bool = False
 
 
 @dataclass
@@ -64,20 +58,11 @@ class ConservativeGC:
     passes: list[GCPassStats] = field(default_factory=list)
     trace: "TraceSink | None" = None
     injector: object = None  # FaultInjector | None, wired up by FPVM
-    #: incremental mode: scan only pages dirtied since their last scan
-    #: (write-barrier bits in Segment.dirty); clean pages replay their
-    #: remembered candidate handles.  Liveness is identical to a full
-    #: scan: page contents only change through writes, and a page's
-    #: dirty bit is cleared only after it was scanned end to end.
-    incremental: bool = False
     #: callback invoked with the tuple of handles each sweep reclaimed
     #: (FPVM uses it to invalidate handle-keyed caches before reuse)
     on_sweep: object = None
     sweeps_skipped: int = 0
     _last_epoch_cycles: int = 0
-    #: (segment name, page index) -> candidate handles found at the
-    #: page's last full scan (the incremental remembered set)
-    _page_boxes: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     def maybe_collect(self, machine: "Machine") -> GCPassStats | None:
@@ -96,17 +81,8 @@ class ConservativeGC:
         self.store.clear_marks()
 
         words = 0
-        pages_scanned = pages_total = remembered = 0
-        if self.incremental:
-            for lo, hi in self._scan_ranges(machine):
-                w, ps, pt, rm = self._scan_range_incremental(machine, lo, hi)
-                words += w
-                pages_scanned += ps
-                pages_total += pt
-                remembered += rm
-        else:
-            for lo, hi in self._scan_ranges(machine):
-                words += self._scan_range(machine, lo, hi)
+        for lo, hi in self._scan_ranges(machine):
+            words += self._scan_range(machine, lo, hi)
         words += self._scan_registers(machine)
 
         inj = self.injector
@@ -128,7 +104,7 @@ class ConservativeGC:
                 self.on_sweep(self.store.last_swept)
         latency = time.perf_counter() - t0
         plat = machine.cost.platform
-        cycles = ((words + remembered) * plat.gc_scan_word_cycles
+        cycles = (words * plat.gc_scan_word_cycles
                   + freed * plat.gc_sweep_obj_cycles)
         machine.cost.charge(cycles, "gc")
         stats = GCPassStats(
@@ -138,10 +114,6 @@ class ConservativeGC:
             words_scanned=words,
             latency_s=latency,
             modeled_cycles=cycles,
-            pages_scanned=pages_scanned,
-            pages_total=pages_total,
-            remembered_marks=remembered,
-            incremental=self.incremental,
         )
         self.passes.append(stats)
         if self.trace is not None:
@@ -154,10 +126,6 @@ class ConservativeGC:
                 freed=freed,
                 alive_after=stats.alive_after,
                 scan_cycles=cycles,
-                incremental=self.incremental,
-                pages_scanned=pages_scanned,
-                pages_total=pages_total,
-                remembered_marks=remembered,
             ))
         return stats
 
@@ -200,68 +168,6 @@ class ConservativeGC:
         for word in cand.tolist():
             mark(word & PAYLOAD_MASK)
         return len(arr)
-
-    def _scan_range_incremental(
-            self, machine: "Machine", lo: int, hi: int,
-    ) -> tuple[int, int, int, int]:
-        """Scan only dirty pages of ``[lo, hi)``; replay clean pages.
-
-        Returns ``(fresh_words, pages_scanned, pages_total,
-        remembered_marks)``.  A page's dirty bit is cleared — and its
-        candidate handles remembered — only when the scan covered its
-        entire mapped span; boundary pages clipped by ``brk``/``rsp``
-        stay dirty so the moving clip can never hide a live box.
-        """
-        from repro.machine.memory import PAGE_SHIFT
-
-        seg = machine.memory.segment_for(lo)
-        start = lo - seg.base
-        end = hi - seg.base
-        end -= (end - start) % 8
-        if end <= start:
-            return 0, 0, 0, 0
-        dirty = seg.dirty
-        page_boxes = self._page_boxes
-        mark = self.store.mark
-        seg_len = len(seg.data)
-        exp = np.uint64(F64_EXP_MASK)
-        qnan = np.uint64(F64_QNAN_BIT)
-        payload = np.uint64(PAYLOAD_MASK)
-        zero = np.uint64(0)
-
-        words = pages_scanned = remembered = 0
-        first = start >> PAGE_SHIFT
-        last = (end - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            p_lo = max(start, page << PAGE_SHIFT)
-            p_hi = min(end, (page + 1) << PAGE_SHIFT)
-            key = (seg.name, page)
-            if dirty[page]:
-                arr = np.frombuffer(bytes(seg.data[p_lo:p_hi]), dtype="<u8")
-                cand = arr[((arr & exp) == exp) & ((arr & qnan) == zero)
-                           & ((arr & payload) != zero)]
-                handles = [int(w) & PAYLOAD_MASK for w in cand.tolist()]
-                for h in handles:
-                    mark(h)
-                words += len(arr)
-                pages_scanned += 1
-                whole_span = (p_lo == page << PAGE_SHIFT
-                              and p_hi >= min(seg_len & ~7,
-                                              (page + 1) << PAGE_SHIFT))
-                if whole_span:
-                    dirty[page] = 0
-                    page_boxes[key] = handles
-                else:
-                    page_boxes.pop(key, None)
-            else:
-                # clean since its last full scan: its contents cannot
-                # have changed (all stores go through the barrier), so
-                # the remembered candidates are exactly what a fresh
-                # scan would find
-                for h in page_boxes.get(key, ()):
-                    mark(h)
-                    remembered += 1
-        return words, pages_scanned, last - first + 1, remembered
 
     def _scan_registers(self, machine: "Machine") -> int:
         """Registers are roots: XMM lanes and (via movq) even GPRs."""

@@ -76,16 +76,10 @@ class FPVMConfig:
     #: degradations at one trap site before the storm detector
     #: permanently demotes it to vanilla execution (0 disables)
     storm_threshold: int = 8
-    #: modeled-cycle watchdog armed on the machine at install time
-    watchdog_cycles: float | None = None
     #: trap-site JIT: serviced traps at one site (with a stable operand
     #: shape) before it is compiled to a specialized closure and patched
     #: into the dispatch loop (0 disables; trap-and-emulate mode only)
     jit_threshold: int = 0
-    #: "full" rescans all writable memory each GC epoch; "incremental"
-    #: scans only pages dirtied since their last scan (write-barrier
-    #: bits) and replays remembered candidates for clean pages
-    gc_mode: str = "full"
     #: tracing JIT: backward-branch executions at one loop header before
     #: the loop body is trace-recorded and compiled to a single Python
     #: function (0 disables; trap-and-emulate mode only)
@@ -121,8 +115,6 @@ class FPVM:
             config = FPVMConfig()
         if config.mode not in ("trap-and-emulate", "trap-and-patch", "static"):
             raise ValueError(f"unknown FPVM mode {config.mode!r}")
-        if config.gc_mode not in ("full", "incremental"):
-            raise ValueError(f"unknown GC mode {config.gc_mode!r}")
         self.config = config
         self.arith = arith
         self.mode = config.mode
@@ -132,8 +124,7 @@ class FPVM:
         self.emulator = Emulator(arith, self.store, self.codec,
                                  box_exact_results=config.box_exact_results)
         self.gc = ConservativeGC(self.store, self.codec,
-                                 epoch_cycles=config.gc_epoch_cycles,
-                                 incremental=config.gc_mode == "incremental")
+                                 epoch_cycles=config.gc_epoch_cycles)
         self.gc.on_sweep = self._on_gc_sweep
         self.emulator.trace = self.trace
         self.gc.trace = self.trace
@@ -211,8 +202,6 @@ class FPVM:
         else:
             machine.mxcsr.unmask_all()
         machine.mxcsr.clear_flags()
-        if self.config.watchdog_cycles is not None:
-            machine.cycle_watchdog = self.config.watchdog_cycles
         self._interpose_externs(machine)
         if (self.config.trace_jit_threshold > 0
                 and self.mode == "trap-and-emulate"

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -99,11 +99,6 @@ class _PostCommitSpill(Exception):
     def __init__(self, rips: np.ndarray) -> None:
         super().__init__("post-commit rip divergence")
         self.rips = rips
-
-
-def _signed32(v: int) -> int:
-    v &= _M32
-    return v - (1 << 32) if v >> 31 else v
 
 
 # --------------------------------------------------------------------------- #
@@ -407,13 +402,6 @@ def _v_xmm128_reader(bm: "BatchMachine", op):
             return read(a, 8), read(a + 8, 8)
         return rd
     raise MachineError(f"bad 128-bit operand {op!r}")
-
-
-def _zsp(regs: BatchRegFile, r, shift: int) -> None:
-    """Commit ZF/SF/PF from a masked result column (CF/OF set by caller)."""
-    regs.zf = r == 0
-    regs.sf = (r >> _U(shift)) != 0
-    regs.pf = _PARB[(r & _U(0xFF)).astype(np.intp)]
 
 
 # --------------------------------------------------------------------------- #
@@ -909,10 +897,10 @@ def _mk_idiv(bm, ins, C):
         as_ = rax.view(np.int64)
         sext = np.where(as_ < 0, _U(_M64), _U(0))
         # vector envelope: rdx:rax is a sign-extended 64-bit value and
-        # both operands are exactly representable in float64, where
-        # IEEE division + trunc reproduces Python's int(d / dv) — the
-        # scalar interpreter's exact semantics.  Everything else
-        # (including divide-by-zero) spills and faults scalar.
+        # both operands are below 2^53 in magnitude, so the rounded float
+        # quotient misses the exact one by less than 1/|dv| and trunc
+        # gives the scalar interpreter's exact truncated quotient.
+        # Everything else (including divide-by-zero) spills and faults.
         ok = ((bs != 0) & (rdx == sext)
               & (as_ < lim) & (as_ > -lim)
               & (bs < lim) & (bs > -lim))

@@ -302,15 +302,6 @@ def libc_clock(m: "Machine") -> None:
 # libm                                                                         #
 # --------------------------------------------------------------------------- #
 
-def _safe(f: Callable[..., float], *args: float) -> float:
-    try:
-        return f(*args)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        if isinstance(f, type(math.exp)) and f in (math.exp, math.cosh, math.sinh):
-            return math.inf
-        return math.nan
-
-
 def _libm1(fn: Callable[[float], float], cycles: int):
     def impl(m: "Machine") -> None:
         x = bits_to_f64(m.regs.xmm_lo(0))

@@ -4,23 +4,18 @@ Segments are non-overlapping ``(base, bytes)`` ranges; all addresses
 fit comfortably below 2^32, which keeps every pointer inside the
 51-bit payload a NaN-box can carry (paper §2, footnote 4).
 
-The garbage collector's conservative scan (paper §4.1) walks
-:meth:`Memory.writable_words` — every 8-byte-aligned word of every
-writable segment — looking for bit patterns that decode as NaN-boxes.
+The garbage collector's conservative scan (paper §4.1) reads writable
+segments directly: ``ConservativeGC._scan_ranges`` in ``fpvm/gc.py``
+names the live ranges it searches for words that decode as NaN-boxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import LaneDivergence, MemoryFault, UnknownSegment
-
-#: write-barrier granularity: one dirty bit per 4 KiB page
-PAGE_SHIFT = 12
-PAGE_SIZE = 1 << PAGE_SHIFT
 
 
 @dataclass
@@ -31,15 +26,6 @@ class Segment:
     base: int
     data: bytearray
     writable: bool = True
-    #: one byte per page, set by the write barrier, cleared by the
-    #: incremental GC after scanning that page.  Pages start dirty so
-    #: the first incremental epoch performs a full scan.
-    dirty: bytearray = field(default_factory=bytearray)
-
-    def __post_init__(self) -> None:
-        if not self.dirty:
-            npages = (len(self.data) + PAGE_SIZE - 1) >> PAGE_SHIFT
-            self.dirty = bytearray(b"\x01" * max(npages, 1))
 
     @property
     def end(self) -> int:
@@ -116,11 +102,6 @@ class Memory:
         except OverflowError:
             seg.data[off : off + size] = (
                 value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        # write barrier: mark the touched page(s) dirty (size <= 8, so a
-        # write spans at most two pages)
-        d = seg.dirty
-        d[off >> PAGE_SHIFT] = 1
-        d[(off + size - 1) >> PAGE_SHIFT] = 1
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         seg = self.segment_for(addr, size)
@@ -133,11 +114,6 @@ class Memory:
             raise MemoryFault(addr, len(data), "write to read-only segment")
         off = addr - seg.base
         seg.data[off : off + len(data)] = data
-        if data:
-            d = seg.dirty
-            for page in range(off >> PAGE_SHIFT,
-                              ((off + len(data) - 1) >> PAGE_SHIFT) + 1):
-                d[page] = 1
 
     def read_cstr(self, addr: int, maxlen: int = 1 << 16) -> str:
         """Read a NUL-terminated string (for printf/puts builtins)."""
@@ -147,29 +123,6 @@ class Memory:
         if end < 0:
             raise MemoryFault(addr, maxlen, "unterminated string")
         return seg.data[off:end].decode("latin-1")
-
-    # ------------------------------------------------------------------ #
-    # GC support                                                          #
-    # ------------------------------------------------------------------ #
-
-    def writable_words(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(addr, u64)`` for every aligned word of writable memory.
-
-        This is the conservative-scan surface: any of these words might
-        be a NaN-boxed shadowed value.
-        """
-        for seg in self.segments:
-            if not seg.writable:
-                continue
-            base = seg.base
-            data = seg.data
-            n = len(data) & ~7
-            for off in range(0, n, 8):
-                yield base + off, int.from_bytes(data[off : off + 8], "little")
-
-    def writable_ranges(self) -> list[tuple[int, int]]:
-        """(base, end) of each writable segment (GC statistics)."""
-        return [(s.base, s.end) for s in self.segments if s.writable]
 
 
 # --------------------------------------------------------------------------- #

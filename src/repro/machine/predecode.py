@@ -780,7 +780,9 @@ def _make_idiv(m, ins):
         d128 = (gpr["rdx"] << 64) | gpr["rax"]
         if d128 >> 127:
             d128 -= 1 << 128
-        q = int(d128 / dv)  # truncation toward zero
+        q = abs(d128) // abs(dv)  # exact; truncation toward zero
+        if (d128 < 0) != (dv < 0):
+            q = -q
         r = d128 - q * dv
         if not (-(1 << 63) <= q < (1 << 63)):
             raise MachineError(f"idiv overflow at {addr:#x}")

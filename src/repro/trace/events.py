@@ -87,12 +87,6 @@ class GCEpochEvent(TraceEvent):
     freed: int = 0
     alive_after: int = 0
     scan_cycles: float = 0.0
-    #: incremental mode: only dirty pages were freshly scanned; clean
-    #: pages replayed their remembered candidate handles
-    incremental: bool = False
-    pages_scanned: int = 0
-    pages_total: int = 0
-    remembered_marks: int = 0
 
 
 @dataclass(slots=True)
@@ -508,4 +502,8 @@ def event_from_dict(d: dict) -> TraceEvent:
     cls = EVENT_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown trace event kind {kind!r}")
+    unknown = d.keys() - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"{kind!r} event has unknown fields "
+                         f"{sorted(unknown)}")
     return cls(**d)

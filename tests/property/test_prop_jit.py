@@ -163,20 +163,3 @@ def test_random_chain_jit_identical(steps, seed):
     # not enough to compile anything
     hottest = max((s.traps for s in prof.hot_sites(10_000)), default=0)
     assert on.fpvm.stats.jit_hits > 0 or hottest <= 2
-
-
-# --------------------------------------------------------------------------- #
-# incremental GC under the JIT                                                 #
-# --------------------------------------------------------------------------- #
-
-@pytest.mark.parametrize("name", ["lorenz", "fbench"])
-def test_incremental_gc_jit_identical(name):
-    """JIT + incremental GC together must still match the vanilla
-    trap-serviced run with the full collector."""
-    base = Session(name, "vanilla", size="test",
-                   config=FPVMConfig()).run()
-    inc = Session(name, "vanilla", size="test",
-                  config=FPVMConfig(jit_threshold=2,
-                                    gc_mode="incremental")).run()
-    assert _observed(inc) == _observed(base)
-    assert inc.fpvm.stats.jit_hits > 0

@@ -1,8 +1,6 @@
 """Unit tests for the trap-site JIT: compile/fuse/invalidate lifecycle,
 shadow-handle reuse across GC sweeps, and config plumbing."""
 
-import pytest
-
 from repro.arith import VanillaArithmetic
 from repro.compiler import compile_source
 from repro.fpvm.runtime import FPVM, FPVMConfig
@@ -70,10 +68,6 @@ class TestCompile:
     def test_jit_requires_trap_and_emulate(self):
         r = _run(_SINGLE_SRC, jit_threshold=2, mode="trap-and-patch")
         assert r.fpvm.jit is None
-
-    def test_gc_mode_validated(self):
-        with pytest.raises(ValueError):
-            FPVM(VanillaArithmetic(), FPVMConfig(gc_mode="generational"))
 
     def test_hit_rate_reported(self):
         r = _run(_SINGLE_SRC, jit_threshold=2)

@@ -52,16 +52,6 @@ class TestMemory:
         with pytest.raises(MemoryFault):
             m.read_cstr(0)
 
-    def test_writable_words(self):
-        m = Memory()
-        m.map("rw", 0, 32)
-        m.map("ro", 0x100, 32, writable=False)
-        m.write(8, 8, 0xABCD)
-        words = dict(m.writable_words())
-        assert words[8] == 0xABCD
-        assert len(words) == 4  # only the rw segment
-        assert m.writable_ranges() == [(0, 32)]
-
     def test_segment_named(self):
         m = Memory()
         m.map("heap", 0x100, 16)

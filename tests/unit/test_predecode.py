@@ -117,6 +117,8 @@ class TestIdivSigns:
         (7, -2, -3, 1),      # remainder keeps the dividend's sign
         (-7, -2, 3, -1),
         (-6, 3, -2, 0),
+        (2**60 + 1, 3, 384307168202282325, 2),   # beyond float64's 53 bits
+        (-(2**62) - 7, 5, -922337203685477582, -1),
     ])
     def test_truncates_toward_zero(self, dividend, divisor, q, r):
         def body(a):

@@ -63,6 +63,21 @@ class TestEvents:
         with pytest.raises(ValueError):
             event_from_dict({"kind": "nope"})
 
+    def test_stale_fields_rejected_by_name(self):
+        # a gc_epoch record written before the incremental GC mode was
+        # removed still carries its four page/remembered-set fields
+        stale = {"kind": "gc_epoch", "cycles": 5000000.0,
+                 "words_scanned": 101, "bytes_scanned": 808,
+                 "boxes_marked": 3, "alive_before": 40, "freed": 37,
+                 "alive_after": 3, "scan_cycles": 4322.0,
+                 "incremental": False, "pages_scanned": 0,
+                 "pages_total": 0, "remembered_marks": 0}
+        with pytest.raises(ValueError, match=r"'gc_epoch' event has "
+                           r"unknown fields \['incremental', "
+                           r"'pages_scanned', 'pages_total', "
+                           r"'remembered_marks'\]"):
+            event_from_dict(stale)
+
     def test_flag_names(self):
         assert flag_names(0) == []
         names = flag_names(0x3F)

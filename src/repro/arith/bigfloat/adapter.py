@@ -26,8 +26,6 @@ from repro.ieee.bits import (
 from repro.arith.interface import AlternativeArithmetic, Ordering
 from repro.arith.bigfloat.number import (
     BF,
-    FINITE,
-    INF,
     NAN,
     ZERO,
     BigFloatContext,

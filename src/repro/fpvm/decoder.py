@@ -22,7 +22,7 @@ from enum import Enum, auto
 
 from repro.errors import MachineError
 from repro.isa.instructions import Instruction
-from repro.isa.operands import Imm, Mem, Reg, Xmm
+from repro.isa.operands import Mem, Reg, Xmm
 
 
 class FPVMOp(Enum):

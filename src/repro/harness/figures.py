@@ -8,7 +8,6 @@ EXPERIMENTS.md all consume the same code paths.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from repro.machine.costmodel import PLATFORMS, Platform, R815
 from repro.arith.bigfloat import BigFloatArithmetic, BigFloatContext

@@ -62,7 +62,9 @@ from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
 from repro.machine.cpu import EXIT_ADDR, HEAP_BASE, STACK_TOP
 from repro.machine.costmodel import Platform, R815, instruction_cost
-from repro.machine.libc import BINDINGS
+from repro.machine.libc import (
+    _STR, _XMM, BINDINGS, INT_ARGS, _printf_plan, format_printf, libc_printf,
+)
 from repro.machine.memory import BatchMemory
 from repro.machine.predecode import _PARITY, _op_size
 from repro.machine.regfile import BatchRegFile
@@ -226,9 +228,9 @@ class LaneView:
 
     The libc/libm extern bindings take a Machine; during a batched
     extern call each lane is presented through this adapter, so the
-    bindings run unmodified per lane (the amortization win is the
-    vectorized instruction stream, not the externs).  The view also
-    carries the lane's scalar-only state (stdout, heap allocator
+    bindings run unmodified per lane.  ``printf`` is the exception: it
+    runs once per call for all lanes (:func:`_printf_lanes`).  The view
+    also carries the lane's scalar-only state (stdout, heap allocator
     bookkeeping, PRNG, stdin cursor) that has no column representation.
     """
 
@@ -250,6 +252,66 @@ class LaneView:
         self._stdin_pos = 0
         # _libc_heap / _rand_state intentionally unset: the bindings
         # use the same getattr-with-default protocol as on Machine
+
+
+def _printf_lanes(bm: "BatchMachine") -> None:
+    """``libc_printf`` for every lane in one call.
+
+    Each lane reads its own format (lanes may differ) and sees exactly
+    the effects of the scalar ``_printf_impl``: a fault reading the
+    format charges nothing, a fault reading a ``%s`` argument comes
+    after the charge, and a faulting lane keeps its stdout and ``rax``.
+    Argument registers are fetched once per call as whole columns.
+    """
+    regs = bm.regs
+    lane_read_cstr = bm.mem.lane_read_cstr
+    lanes = bm.lanes
+    rdi = regs.gpr["rdi"].tolist()
+    fmts: list = []
+    charge = [0] * len(lanes)
+    for pos, lv in enumerate(lanes):
+        try:
+            fmt = lane_read_cstr(lv.col, rdi[pos])
+        except MachineError as exc:
+            bm._pending_errors[lv.orig] = exc
+            fmts.append(None)
+            continue
+        fmts.append(fmt)
+        charge[pos] = 1500 + 4 * len(fmt)
+    charge_col = np.array(charge, float)
+    bm.buckets["base"] += charge_col
+    bm.cycles += charge_col
+
+    plans = {fmt: _printf_plan(fmt)[1] for fmt in set(fmts) if fmt is not None}
+    n_fp = max((sum(k is _XMM for k, _, _ in c) for c in plans.values()),
+               default=0)
+    n_int = max((sum(k is not _XMM for k, _, _ in c) for c in plans.values()),
+                default=0)
+    # rdi holds the format; the other integer arguments follow it
+    gcols = [regs.gpr[name].tolist() for name in INT_ARGS[1: 1 + n_int]]
+    fcols = [regs.xmm[i][0].view(np.float64).tolist() for i in range(n_fp)]
+    rax = regs.gpr["rax"].tolist()
+    for pos, lv in enumerate(lanes):
+        fmt = fmts[pos]
+        if fmt is None:
+            continue
+        int_args: list = []
+        fp_args: list = []
+        try:
+            for kind, _, _ in plans[fmt]:
+                if kind is _XMM:
+                    fp_args.append(fcols[len(fp_args)][pos])
+                else:
+                    v = gcols[len(int_args)][pos]
+                    int_args.append(
+                        lane_read_cstr(lv.col, v) if kind is _STR else v)
+        except MachineError as exc:
+            bm._pending_errors[lv.orig] = exc
+            continue
+        text = format_printf(fmt, int_args, fp_args)
+        lv.stdout.append(text)
+        rax[pos] = len(text)
+    regs.gpr["rax"] = np.array(rax, _U)
 
 
 # --------------------------------------------------------------------------- #
@@ -468,6 +530,7 @@ def _mk_mov(bm, ins, C):
     dst, src = ins.operands
     r = _v_int_reader(bm, src, size)
     ea, commit = _v_int_writer(bm, dst, size)
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     check = bm.mem.check_write
@@ -476,7 +539,7 @@ def _mk_mov(bm, ins, C):
             v = r()
             retire(C)
             commit(None, v)
-            bm.rip = nxt
+            regs.rip = nxt
         return step
 
     def step():
@@ -485,7 +548,7 @@ def _mk_mov(bm, ins, C):
         check(a, size)
         retire(C)
         commit(a, v)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -496,6 +559,7 @@ def _mk_movzx(bm, ins, C):
     ea, commit = _v_int_writer(bm, dst, dst.size)
     if ea is not None:
         return _mk_spill_all(bm, ins, "movzx to memory")
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -503,7 +567,7 @@ def _mk_movzx(bm, ins, C):
         v = r()
         retire(C)
         commit(None, v)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -517,6 +581,7 @@ def _mk_movsx(bm, ins, C):
     bits = 8 * ssize
     top = _U(1 << (bits - 1))
     ext = _U(~((1 << bits) - 1) & _M64)
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -525,7 +590,7 @@ def _mk_movsx(bm, ins, C):
         s = np.where(v & top != 0, v | ext, v)
         retire(C)
         commit(None, s)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -535,6 +600,7 @@ def _mk_lea(bm, ins, C):
     wea, commit = _v_int_writer(bm, dst, dst.size)
     if wea is not None:
         return _mk_spill_all(bm, ins, "lea to memory")
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -542,7 +608,7 @@ def _mk_lea(bm, ins, C):
         v = ea()
         retire(C)
         commit(None, v)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -553,6 +619,7 @@ def _mk_xchg(bm, ins, C):
     rb = _v_int_reader(bm, b_op, size)
     ea_a, wa = _v_int_writer(bm, a_op, size)
     ea_b, wb = _v_int_writer(bm, b_op, size)
+    regs = bm.regs
     retire = bm._retire
     check = bm.mem.check_write
     nxt = ins.next_addr
@@ -569,7 +636,7 @@ def _mk_xchg(bm, ins, C):
         retire(C)
         wa(aa, vb)
         wb(ab, va)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -577,6 +644,7 @@ def _mk_push(bm, ins, C):
     r = _v_int_reader(bm, ins.operands[0], 8)
     gpr = bm.regs.gpr
     mem = bm.mem
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     eight = _U(8)
@@ -588,7 +656,7 @@ def _mk_push(bm, ins, C):
         retire(C)
         gpr["rsp"] = rsp
         mem.write(rsp, 8, v)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -600,6 +668,7 @@ def _mk_pop(bm, ins, C):
         return _mk_spill_all(bm, ins, "pop to memory")
     gpr = bm.regs.gpr
     mem = bm.mem
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     eight = _U(8)
@@ -610,7 +679,7 @@ def _mk_pop(bm, ins, C):
         retire(C)
         gpr["rsp"] = rsp + eight
         commit(None, v)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -676,7 +745,7 @@ def _mk_alu(bm, ins, C):
         _alu_flags_zsp(regs, r, shU)
         if commit is not None:
             commit(addr, r)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -724,7 +793,7 @@ def _mk_shift(bm, ins, C):
         if const_count == 0:
             def step():
                 retire(C)
-                bm.rip = nxt
+                regs.rip = nxt
             return step
         cntU = _U(const_count)
 
@@ -742,7 +811,7 @@ def _mk_shift(bm, ins, C):
             regs.of = np.zeros(regs.n, bool)
             _alu_flags_zsp(regs, r, shU)
             commit(addr, r)
-            bm.rip = nxt
+            regs.rip = nxt
         return step
 
     def step():
@@ -752,7 +821,7 @@ def _mk_shift(bm, ins, C):
             if z.all():
                 # count 0 in every lane: flags and destination untouched
                 retire(C)
-                bm.rip = nxt
+                regs.rip = nxt
                 return
             raise LaneDivergence(z, "shift count divergence")
         a = rd()
@@ -767,7 +836,7 @@ def _mk_shift(bm, ins, C):
         regs.of = np.zeros(regs.n, bool)
         _alu_flags_zsp(regs, r, shU)
         commit(addr, r)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -803,7 +872,7 @@ def _mk_incdec(bm, ins, C):
         regs.of = of
         _alu_flags_zsp(regs, r, shU)
         commit(addr, r)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -874,7 +943,7 @@ def _mk_imul(bm, ins, C):
         regs.of = cfof
         _alu_flags_zsp(regs, r, shU)
         commit(addr, r)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -883,6 +952,7 @@ def _mk_idiv(bm, ins, C):
         return _mk_spill_all(bm, ins, "idiv non-64-bit")
     rd = _v_int_reader(bm, ins.operands[0], 8)
     gpr = bm.regs.gpr
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     lim = 1 << 53
@@ -912,12 +982,13 @@ def _mk_idiv(bm, ins, C):
         retire(C)
         gpr["rax"] = q.view(_U)
         gpr["rdx"] = r.view(_U)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
 def _mk_cqo(bm, ins, C):
     gpr = bm.regs.gpr
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -925,7 +996,7 @@ def _mk_cqo(bm, ins, C):
         rax = gpr["rax"]
         retire(C)
         gpr["rdx"] = np.where(rax >> _U(63) != 0, _U(_M64), _U(0))
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -946,7 +1017,7 @@ def _mk_setcc(bm, ins, C):
             addr = None
         retire(C)
         commit(addr, v)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -973,11 +1044,12 @@ def _mk_cmovcc(bm, ins, C):
         v = r()
         retire(C)
         gpr[canon] = np.where(c, v & emask, gpr[canon])
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
 def _mk_jmp(bm, ins, C):
+    regs = bm.regs
     retire = bm._retire
     op = ins.operands[0]
     if isinstance(op, Imm):
@@ -985,18 +1057,18 @@ def _mk_jmp(bm, ins, C):
 
         def step():
             retire(C)
-            bm.rip = tgt
+            regs.rip = tgt
         return step
     r = _v_int_reader(bm, op, 8)
 
     def step():
         tv = r()
         t0 = int(tv[0])
-        same = tv == _U(t0)
-        if not same.all():
-            raise LaneDivergence(~same, "indirect branch divergence")
+        diff = tv != _U(t0)
+        if np.count_nonzero(diff):
+            raise LaneDivergence(diff, "indirect branch divergence")
         retire(C)
-        bm.rip = t0
+        regs.rip = t0
     return step
 
 
@@ -1015,10 +1087,10 @@ def _mk_jcc(bm, ins, C):
         k = int(t.sum())
         if k == regs.n:
             retire(C)
-            bm.rip = tgt
+            regs.rip = tgt
         elif k == 0:
             retire(C)
-            bm.rip = nxt
+            regs.rip = nxt
         else:
             # spill the minority; the survivors retry unanimously
             mask = t if 2 * k <= regs.n else ~t
@@ -1038,6 +1110,7 @@ def _halt_all(bm) -> None:
 def _mk_ret(bm, ins, C):
     gpr = bm.regs.gpr
     mem = bm.mem
+    regs = bm.regs
     retire = bm._retire
     eight = _U(8)
 
@@ -1045,15 +1118,15 @@ def _mk_ret(bm, ins, C):
         rsp = gpr["rsp"]
         addrs = mem.read(rsp, 8)
         a0 = int(addrs[0])
-        same = addrs == _U(a0)
-        if not bool(same.all()):
-            raise LaneDivergence(~same, "return divergence")
+        diff = addrs != _U(a0)
+        if np.count_nonzero(diff):
+            raise LaneDivergence(diff, "return divergence")
         retire(C)
         gpr["rsp"] = rsp + eight
         if a0 == EXIT_ADDR:
             _halt_all(bm)   # rip stays at the ret site, like scalar
         else:
-            bm.rip = a0
+            regs.rip = a0
     return step
 
 
@@ -1068,6 +1141,7 @@ def _mk_hlt(bm, ins, C):
 
 def _extern_call_body(bm, ext, nxt):
     """Shared tail of a call that resolves to an extern binding."""
+    regs = bm.regs
     gpr = bm.regs.gpr
     mem = bm.mem
     eight = _U(8)
@@ -1077,22 +1151,24 @@ def _extern_call_body(bm, ext, nxt):
         mem.check_write(rsp, 8)
         bm._retire_pending(rsp)
         mem.write(rsp, 8, nxt)
-        for lv in bm.lanes:
-            try:
-                ext(lv)
-            except MachineError as exc:
-                bm._pending_errors[lv.orig] = exc
-        bm._maybe_halted = True
+        if ext is libc_printf:
+            _printf_lanes(bm)
+        else:
+            for lv in bm.lanes:
+                try:
+                    ext(lv)
+                except MachineError as exc:
+                    bm._pending_errors[lv.orig] = exc
+            bm._maybe_halted = True
         # the scalar extern-call epilogue pops the return address even
         # when the binding halted the machine
         rsp2 = gpr["rsp"]
         addrs = mem.read(rsp2, 8)
         gpr["rsp"] = rsp2 + eight
         a0 = int(addrs[0])
-        if bool((addrs == _U(a0)).all()):
-            bm.rip = a0
-        else:
+        if np.count_nonzero(addrs != _U(a0)):
             raise _PostCommitSpill(addrs)
+        regs.rip = a0
     return run_extern
 
 
@@ -1100,6 +1176,7 @@ def _mk_call(bm, ins, C):
     op = ins.operands[0]
     gpr = bm.regs.gpr
     mem = bm.mem
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     eight = _U(8)
@@ -1114,7 +1191,7 @@ def _mk_call(bm, ins, C):
                 retire(C)
                 gpr["rsp"] = rsp
                 mem.write(rsp, 8, nxt)
-                bm.rip = tgt
+                regs.rip = tgt
             return step
         if bm.fpvm_mode:
             # FPVM interposes externs (libm, printf, ...): every lane
@@ -1134,9 +1211,9 @@ def _mk_call(bm, ins, C):
     def step():
         tv = r()
         t0 = int(tv[0])
-        same = tv == _U(t0)
-        if not bool(same.all()):
-            raise LaneDivergence(~same, "indirect call divergence")
+        diff = tv != _U(t0)
+        if np.count_nonzero(diff):
+            raise LaneDivergence(diff, "indirect call divergence")
         ext = bm.externs.get(t0)
         if ext is not None:
             if bm.fpvm_mode:
@@ -1150,17 +1227,18 @@ def _mk_call(bm, ins, C):
         retire(C)
         gpr["rsp"] = rsp
         mem.write(rsp, 8, nxt)
-        bm.rip = t0
+        regs.rip = t0
     return step
 
 
 def _mk_nop(bm, ins, C):
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
     def step():
         retire(C)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1173,6 +1251,7 @@ def _mk_f_scalar(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f64_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1182,7 +1261,7 @@ def _mk_f_scalar(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = r
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1193,6 +1272,7 @@ def _mk_f_packed(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_xmm128_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1204,7 +1284,7 @@ def _mk_f_packed(bm, ins, C):
         bm.fp_instr_count += 1
         pair[0] = rlo
         pair[1] = rhi
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1212,6 +1292,7 @@ def _mk_sqrtsd(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f64_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1221,7 +1302,7 @@ def _mk_sqrtsd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = r
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1229,6 +1310,7 @@ def _mk_sqrtpd(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_xmm128_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1240,7 +1322,7 @@ def _mk_sqrtpd(bm, ins, C):
         bm.fp_instr_count += 1
         pair[0] = rlo
         pair[1] = rhi
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1264,7 +1346,7 @@ def _mk_ucomi(bm, ins, C):
         z = np.zeros(regs.n, bool)
         regs.of = z
         regs.sf = z
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1274,6 +1356,7 @@ def _mk_f_scalar32(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f32_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1288,7 +1371,7 @@ def _mk_f_scalar32(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = out
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1297,6 +1380,7 @@ def _mk_fmaddsd(bm, ins, C):
     r1 = _v_f64_reader(bm, ins.operands[1])
     r2 = _v_f64_reader(bm, ins.operands[2])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1310,7 +1394,7 @@ def _mk_fmaddsd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = out
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1319,6 +1403,7 @@ def _mk_cmpsd(bm, ins, C):
     rs = _v_f64_reader(bm, ins.operands[1])
     pred = ins.operands[2].value
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1331,7 +1416,7 @@ def _mk_cmpsd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = out
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1340,6 +1425,7 @@ def _mk_roundsd(bm, ins, C):
     rs = _v_f64_reader(bm, ins.operands[1])
     mode = ins.operands[2].value & 3
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1351,7 +1437,7 @@ def _mk_roundsd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = out
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1360,6 +1446,7 @@ def _mk_cvtsi2sd(bm, ins, C):
     size = src.size
     r = _v_int_reader(bm, src, size)
     pair = bm.regs.xmm[dst.index]
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     top32 = _U(0x8000_0000)
@@ -1375,7 +1462,7 @@ def _mk_cvtsi2sd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = f.view(_U)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1387,6 +1474,7 @@ def _mk_cvtsd2si(bm, ins, C):
     if ea is not None:
         return _mk_spill_all(bm, ins, "cvt to memory")
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     size = dst.size
@@ -1407,7 +1495,7 @@ def _mk_cvtsd2si(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         commit(None, out)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1415,6 +1503,7 @@ def _mk_cvtsd2ss(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f64_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1428,7 +1517,7 @@ def _mk_cvtsd2ss(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = out
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1436,6 +1525,7 @@ def _mk_cvtss2sd(bm, ins, C):
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f32_reader(bm, ins.operands[1])
     fpu = bm.fpu
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
 
@@ -1447,7 +1537,7 @@ def _mk_cvtss2sd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = out
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1463,7 +1553,7 @@ def _mk_movsd(bm, ins, C):
         def step():
             retire(C)
             d[0] = s[0]
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     if isinstance(dst, Xmm):
         d = xmm[dst.index]
@@ -1475,7 +1565,7 @@ def _mk_movsd(bm, ins, C):
             retire(C)
             d[0] = v
             d[1] = np.zeros(regs.n, _U)
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     s = xmm[src.index]
     ea = _v_ea(bm, dst)
@@ -1486,7 +1576,7 @@ def _mk_movsd(bm, ins, C):
         mem.check_write(a, 8)
         retire(C)
         mem.write(a, 8, s[0])
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1504,7 +1594,7 @@ def _mk_movss(bm, ins, C):
         def step():
             retire(C)
             d[0] = (d[0] & inv32) | (s[0] & m32)
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     if isinstance(dst, Xmm):
         d = xmm[dst.index]
@@ -1517,7 +1607,7 @@ def _mk_movss(bm, ins, C):
             d[0] = v if isinstance(v, np.ndarray) else np.full(
                 regs.n, v, _U)
             d[1] = np.zeros(regs.n, _U)
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     s = xmm[src.index]
     ea = _v_ea(bm, dst)
@@ -1528,7 +1618,7 @@ def _mk_movss(bm, ins, C):
         mem.check_write(a, 4)
         retire(C)
         mem.write(a, 4, s[0] & m32)
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1549,7 +1639,7 @@ def _mk_movq(bm, ins, C):
                 d[0] = v if isinstance(v, np.ndarray) else np.full(
                     regs.n, v, _U)
                 d[1] = np.zeros(regs.n, _U)
-                bm.rip = nxt
+                regs.rip = nxt
             return step
         if isinstance(src, Xmm):
             s = xmm[src.index]
@@ -1558,7 +1648,7 @@ def _mk_movq(bm, ins, C):
                 retire(C)
                 d[0] = s[0]
                 d[1] = np.zeros(regs.n, _U)
-                bm.rip = nxt
+                regs.rip = nxt
             return step
         ea = _v_ea(bm, src)
         read = bm.mem.read
@@ -1568,7 +1658,7 @@ def _mk_movq(bm, ins, C):
             retire(C)
             d[0] = v
             d[1] = np.zeros(regs.n, _U)
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     s = xmm[src.index]
     if isinstance(dst, Reg):
@@ -1577,7 +1667,7 @@ def _mk_movq(bm, ins, C):
         def step():
             retire(C)
             commit(None, s[0])
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     ea = _v_ea(bm, dst)
     mem = bm.mem
@@ -1587,13 +1677,14 @@ def _mk_movq(bm, ins, C):
         mem.check_write(a, 8)
         retire(C)
         mem.write(a, 8, s[0])
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
 def _mk_movapd(bm, ins, C):
     dst, src = ins.operands
     xmm = bm.regs.xmm
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     if isinstance(dst, Xmm):
@@ -1605,7 +1696,7 @@ def _mk_movapd(bm, ins, C):
             retire(C)
             d[0] = lo
             d[1] = hi
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     s = xmm[src.index]
     ea = _v_ea(bm, dst)
@@ -1620,13 +1711,14 @@ def _mk_movapd(bm, ins, C):
         retire(C)
         mem.write(a, 8, s[0])
         mem.write(a2, 8, s[1])
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
 def _mk_movhpd(bm, ins, C):
     dst, src = ins.operands
     xmm = bm.regs.xmm
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     if isinstance(dst, Xmm):
@@ -1638,7 +1730,7 @@ def _mk_movhpd(bm, ins, C):
             v = read(ea(), 8)
             retire(C)
             d[1] = v
-            bm.rip = nxt
+            regs.rip = nxt
         return step
     s = xmm[src.index]
     ea = _v_ea(bm, dst)
@@ -1649,7 +1741,7 @@ def _mk_movhpd(bm, ins, C):
         mem.check_write(a, 8)
         retire(C)
         mem.write(a, 8, s[1])
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1657,6 +1749,7 @@ def _mk_f_bitwise(bm, ins, C):
     mn = ins.mnemonic
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_xmm128_reader(bm, ins.operands[1])
+    regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
     m64 = _U(_M64)
@@ -1675,7 +1768,7 @@ def _mk_f_bitwise(bm, ins, C):
         retire(C)
         pair[0] = r0
         pair[1] = r1
-        bm.rip = nxt
+        regs.rip = nxt
     return step
 
 
@@ -1728,16 +1821,6 @@ class BatchMachine:
     of per-lane ``RunResult`` objects (in spec order) that is
     bit-identical to running each lane through a scalar ``Session``.
     """
-
-    # the shared lockstep RIP lives on the regfile so lane snapshots
-    # and spill transplants see it; this alias keeps closures short
-    @property
-    def rip(self) -> int:
-        return self.regs.rip
-
-    @rip.setter
-    def rip(self, v: int) -> None:
-        self.regs.rip = v
 
     def __init__(
         self,
@@ -1806,7 +1889,7 @@ class BatchMachine:
         rsp = self.regs.gpr["rsp"] - _U(8)
         self.regs.gpr["rsp"] = rsp
         self.mem.write(rsp, 8, EXIT_ADDR)
-        self.rip = binary.entry
+        self.regs.rip = binary.entry
 
         self.lanes = [LaneView(self, i, spec)
                       for i, spec in enumerate(specs)]
@@ -1871,11 +1954,13 @@ class BatchMachine:
     def run(self) -> list:
         """Drive all lanes to completion; per-lane results in spec order."""
         with np.errstate(all="ignore"):
+            regs = self.regs
+            code = self._code
             while self.lanes:
-                step = self._code.get(self.rip)
+                step = code.get(regs.rip)
                 if step is None:
                     self._error_all(MachineError(
-                        f"rip={self.rip:#x}: no instruction"))
+                        f"rip={regs.rip:#x}: no instruction"))
                     break
                 try:
                     step()
@@ -2008,7 +2093,7 @@ class BatchMachine:
         self.spilled_lanes += len(positions)
         for pos in positions:
             lv = self.lanes[pos]
-            self._outcomes[lv.orig] = self._run_scalar(lv, self.rip)
+            self._outcomes[lv.orig] = self._run_scalar(lv, self.regs.rip)
         self._compact(np.nonzero(~mask)[0])
 
     def _spill_post(self, rips: np.ndarray) -> None:

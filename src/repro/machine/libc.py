@@ -15,6 +15,7 @@ in xmm0.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import TYPE_CHECKING, Callable
@@ -124,6 +125,72 @@ _FMT_RE = re.compile(
 )
 
 
+#: argument kinds of a printf conversion: an integer register, an XMM
+#: register, or an integer register holding a guest string address
+_GPR, _XMM, _STR = "gpr", "xmm", "str"
+
+
+def _conversion(flags: str, width: str, prec: str | None, conv: str):
+    """``(kind, render)`` of one conversion; ``render`` maps the argument
+    value to its text."""
+    if conv in "diu":
+        spec = f"%{flags}{width}{'.' + prec if prec is not None else ''}d"
+        if conv == "u":
+            return _GPR, spec.__mod__
+        return _GPR, lambda v: spec % (v - (1 << 64) if v >= 1 << 63 else v)
+    if conv in "xX":
+        spec = f"%{flags}{width}{conv}"
+        if "#" not in flags:
+            return _GPR, spec.__mod__
+        # C prints a zero without the 0x prefix
+        zero = f"%{flags.replace('#', '')}{width}{conv}"
+        return _GPR, lambda v: (spec if v else zero) % v
+    if conv == "o":
+        if "#" not in flags:
+            return _GPR, f"%{flags}{width}o".__mod__
+        # C's '#' makes the first digit a zero, where Python would write
+        # a 0o prefix: print one more digit than the value needs
+        spec = f"%{flags.replace('#', '')}{width}.*o"
+        return _GPR, lambda v: spec % (len(f"{v:o}") + 1 if v else 1, v)
+    if conv == "p":
+        return _GPR, "%#x".__mod__
+    if conv == "c":
+        return _GPR, lambda v: chr(v & 0xFF)
+    if conv == "s":
+        return _STR, "%s".__mod__
+    # e E f F g G
+    spec = f"%{flags}{width}.{prec if prec is not None else '6'}{conv}"
+    w = int(width) if width else 0
+    # a str argument is pre-rendered (FPVM's full-precision shadow printing)
+    return _XMM, lambda v: v.rjust(w) if isinstance(v, str) else spec % v
+
+
+@functools.lru_cache(maxsize=256)
+def _printf_plan(fmt: str) -> tuple[str, tuple]:
+    """Parse ``fmt`` once: ``(head, convs)``.
+
+    ``head`` is the literal text before the first conversion; each of
+    ``convs`` is ``(kind, render, tail)`` with ``tail`` the literal
+    text up to the next conversion (``%%`` already folded in).
+    """
+    pieces: list[list[str]] = [[]]
+    convs: list = []
+    pos = 0
+    for mobj in _FMT_RE.finditer(fmt):
+        pieces[-1].append(fmt[pos : mobj.start()])
+        pos = mobj.end()
+        conv = mobj.group("conv")
+        if conv == "%":
+            pieces[-1].append("%")
+            continue
+        convs.append(_conversion(mobj.group("flags"), mobj.group("width") or "",
+                                 mobj.group("prec"), conv))
+        pieces.append([])
+    pieces[-1].append(fmt[pos:])
+    lits = ["".join(p) for p in pieces]
+    return lits[0], tuple((*c, t) for c, t in zip(convs, lits[1:]))
+
+
 def format_printf(fmt: str, int_args: list[int], fp_args: list[float]) -> str:
     """C-printf formatting against pre-fetched argument lists.
 
@@ -133,55 +200,18 @@ def format_printf(fmt: str, int_args: list[int], fp_args: list[float]) -> str:
     ``fp_args`` by e/f/g conversions, matching how the SysV calling
     convention splits them across GPR and XMM registers.
     """
-    out: list[str] = []
-    pos = 0
+    head, convs = _printf_plan(fmt)
+    out = [head]
     ii = fi = 0
-    for mobj in _FMT_RE.finditer(fmt):
-        out.append(fmt[pos : mobj.start()])
-        pos = mobj.end()
-        conv = mobj.group("conv")
-        flags = mobj.group("flags") or ""
-        width = mobj.group("width") or ""
-        prec = mobj.group("prec")
-        if conv == "%":
-            out.append("%")
-            continue
-        pyflags = flags.replace("#", "")
-        if conv in "diu":
-            v = int_args[ii]
-            ii += 1
-            if conv in "di" and v >= 1 << 63:
-                v -= 1 << 64
-            spec = f"%{pyflags}{width}{'.' + prec if prec else ''}d"
-            out.append(spec % v)
-        elif conv in "xXo":
-            v = int_args[ii]
-            ii += 1
-            spec = f"%{pyflags}{width}{conv if conv != 'o' else 'o'}"
-            out.append(spec % v)
-        elif conv == "p":
-            v = int_args[ii]
-            ii += 1
-            out.append(f"{v:#x}")
-        elif conv == "c":
-            v = int_args[ii] & 0xFF
-            ii += 1
-            out.append(chr(v))
-        elif conv == "s":
-            s = int_args[ii]
-            ii += 1
-            out.append(s if isinstance(s, str) else str(s))
-        else:  # e E f F g G
+    for kind, render, tail in convs:
+        if kind is _XMM:
             v = fp_args[fi]
             fi += 1
-            if isinstance(v, str):
-                # pre-rendered (FPVM's full-precision shadow printing)
-                out.append(v.rjust(int(width)) if width else v)
-                continue
-            p = prec if prec is not None else "6"
-            spec = f"%{pyflags}{width}.{p}{conv}"
-            out.append(spec % v)
-    out.append(fmt[pos:])
+        else:
+            v = int_args[ii]
+            ii += 1
+        out.append(render(v))
+        out.append(tail)
     return "".join(out)
 
 
@@ -196,22 +226,13 @@ def _printf_impl(m: "Machine", fp_decode: Callable[[int], float]) -> None:
     fmt = m.memory.read_cstr(m.regs.get_gpr("rdi"))
     m.cost.charge(1500 + 4 * len(fmt), "base")
     int_args: list = []
-    fp_args: list[float] = []
-    ii = 1  # rdi holds fmt
-    fi = 0
-    for mobj in _FMT_RE.finditer(fmt):
-        conv = mobj.group("conv")
-        if conv == "%":
-            continue
-        if conv in "eEfFgG":
-            fp_args.append(fp_decode(m.regs.xmm_lo(fi)))
-            fi += 1
-        elif conv == "s":
-            int_args.append(m.memory.read_cstr(m.regs.get_gpr(INT_ARGS[ii])))
-            ii += 1
-        else:
-            int_args.append(m.regs.get_gpr(INT_ARGS[ii]))
-            ii += 1
+    fp_args: list = []
+    for kind, _, _ in _printf_plan(fmt)[1]:
+        if kind is _XMM:
+            fp_args.append(fp_decode(m.regs.xmm_lo(len(fp_args))))
+        else:  # rdi holds fmt
+            v = m.regs.get_gpr(INT_ARGS[len(int_args) + 1])
+            int_args.append(m.memory.read_cstr(v) if kind is _STR else v)
     text = format_printf(fmt, int_args, fp_args)
     m.stdout.append(text)
     m.regs.set_gpr("rax", len(text))

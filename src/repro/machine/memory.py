@@ -163,9 +163,6 @@ class BatchSegment:
     def end(self) -> int:
         return self.base + self.nbytes
 
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.base <= addr and addr + size <= self.end
-
 
 class BatchMemory:
     """Segmented SoA memory for n lockstep lanes.
@@ -215,7 +212,8 @@ class BatchMemory:
     def _seg_scalar(self, addr: int, size: int) -> BatchSegment:
         """Segment for a uniform address; all lanes fault together."""
         for seg in self.segments:
-            if seg.contains(addr, size):
+            off = addr - seg.base
+            if off >= 0 and off + size <= seg.nbytes:
                 return seg
         raise LaneDivergence(np.ones(self.n, bool),
                              f"memory fault: {size} bytes at {addr:#x}")
@@ -252,7 +250,7 @@ class BatchMemory:
         cols = self.cols
         if isinstance(addr, np.ndarray):
             a0 = int(addr[0])
-            if (addr == _U64(a0)).all():
+            if not np.count_nonzero(addr != _U64(a0)):
                 addr = a0
             else:
                 return self._read_varying(addr, size)
@@ -296,7 +294,7 @@ class BatchMemory:
         """
         if isinstance(addr, np.ndarray):
             a0 = int(addr[0])
-            if (addr == _U64(a0)).all():
+            if not np.count_nonzero(addr != _U64(a0)):
                 addr = a0
             else:
                 seg, _ = self._seg_array(addr, size)
@@ -315,7 +313,7 @@ class BatchMemory:
         cols = self.cols
         if isinstance(addr, np.ndarray):
             a0 = int(addr[0])
-            if (addr == _U64(a0)).all():
+            if not np.count_nonzero(addr != _U64(a0)):
                 addr = a0
             else:
                 self._write_varying(addr, size, value)
@@ -381,7 +379,8 @@ class BatchMemory:
 
     def _lane_seg(self, addr: int, size: int) -> BatchSegment:
         for seg in self.segments:
-            if seg.contains(addr, size):
+            off = addr - seg.base
+            if off >= 0 and off + size <= seg.nbytes:
                 return seg
         raise MemoryFault(addr, size)
 
@@ -429,14 +428,25 @@ class BatchMemory:
         seg.words[w0: w1 + 1, col] = np.frombuffer(bytes(buf), "<u8")
 
     def lane_read_cstr(self, col: int, addr: int, maxlen: int = 1 << 16) -> str:
+        """Read a NUL-terminated string, gathering word rows in doubling
+        chunks until the NUL (not the rest of the segment)."""
         seg = self._lane_seg(addr, 1)
         off = addr - seg.base
-        limit = min(maxlen, seg.nbytes - off)
-        chunk = self.lane_read_bytes(col, addr, limit)
-        end = chunk.find(b"\x00")
-        if end < 0:
-            raise MemoryFault(addr, maxlen, "unterminated string")
-        return chunk[:end].decode("latin-1")
+        # the search window of the scalar read_cstr: bytes [lo, stop)
+        w, lo = off >> 3, off & 7
+        stop = lo + min(maxlen, seg.nbytes - off)
+        buf = b""
+        nwords = 8
+        while True:
+            seen = len(buf)
+            buf += seg.words[w: w + nwords, col].tobytes()
+            end = buf.find(b"\x00", max(seen, lo), stop)
+            if end >= 0:
+                return buf[lo:end].decode("latin-1")
+            if len(buf) >= stop:
+                raise MemoryFault(addr, maxlen, "unterminated string")
+            w += nwords
+            nwords *= 2
 
     def lane_segment_bytes(self, col: int, seg: BatchSegment) -> bytes:
         """Whole-segment byte image of one lane (spill transplant)."""

@@ -1,8 +1,6 @@
 """End-to-end static analysis tests: the §4.2 correctness holes are
 real without patching and closed with it."""
 
-import pytest
-
 from repro.analysis import analyze_and_patch
 from repro.arith import BigFloatArithmetic, VanillaArithmetic
 from repro.compiler import compile_source

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.arith import BigFloatArithmetic, PositArithmetic, VanillaArithmetic
+from repro.arith import BigFloatArithmetic, PositArithmetic
 from repro.harness.figures import fig13_lorenz
 from repro.workloads import WORKLOADS
 from repro.session import Session

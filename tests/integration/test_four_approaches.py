@@ -14,7 +14,7 @@ cost structures differ exactly as the paper's comparison table says:
 import pytest
 
 from repro.arith import BigFloatArithmetic, VanillaArithmetic
-from repro.compiler import compile_source, instrument_fp_sites
+from repro.compiler import compile_source
 from repro.harness.experiment import slowdown
 from repro.workloads import WORKLOADS
 from repro.session import Session

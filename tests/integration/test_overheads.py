@@ -3,7 +3,7 @@ generators produce the paper's qualitative structure at test scale."""
 
 import pytest
 
-from repro.arith import BigFloatArithmetic, VanillaArithmetic
+from repro.arith import BigFloatArithmetic
 from repro.harness.experiment import slowdown
 from repro.harness import figures as F
 from repro.workloads import WORKLOADS

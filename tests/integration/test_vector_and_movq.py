@@ -6,7 +6,7 @@ from repro.arith import BigFloatArithmetic, VanillaArithmetic
 from repro.fpvm import FPVM
 from repro.ieee.bits import bits_to_f64, f64_to_bits
 from repro.machine.loader import load_binary
-from conftest import RAX, RBX, XMM0, XMM1, asm_program, imm, lbl, mem
+from conftest import RAX, RBX, XMM0, asm_program, imm, lbl, mem
 
 
 def fp_data(pairs):

@@ -12,7 +12,6 @@ arithmetic specs inside one batch are disallowed by construction (one
 Session = one arithmetic); mixed stdin/params are the point.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.ieee import bits as B
-from repro.ieee import exactness as X
 from repro.ieee.softfloat import Flags, SoftFPU
 
 fpu = SoftFPU()

@@ -1,8 +1,6 @@
 """System-level property tests: random programs through the whole
 pipeline (compile → analyze → patch → FPVM) and GC liveness laws."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ieee.bits import bits_to_f64, f64_to_bits
-from repro.arith import AdaptiveBigFloatArithmetic, VanillaArithmetic
+from repro.arith import AdaptiveBigFloatArithmetic
 from repro.compiler import compile_source
 from repro.session import Session
 

@@ -1,13 +1,10 @@
 """Unit tests for strided intervals, CFG recovery, and the VSA."""
 
-import pytest
-
 from repro.analysis.si import SI, SI_TOP
 from repro.analysis.cfg import CFG
 from repro.analysis.domain import (
     BOTTOM,
     TOP,
-    AccessSet,
     HeapAddr,
     Num,
     StackAddr,

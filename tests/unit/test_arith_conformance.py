@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.ieee.bits import bits_to_f64, f64_to_bits, is_nan64
+from repro.ieee.bits import bits_to_f64, f64_to_bits
 from repro.arith import (
     AdaptiveBigFloatArithmetic,
     BigFloatArithmetic,

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.ieee.bits import f64_to_bits
-from repro.arith.bigfloat import BF, BigFloatArithmetic, BigFloatContext
-from repro.arith.bigfloat.number import RNDD, RNDN, RNDU, RNDZ
+from repro.arith.bigfloat import BigFloatArithmetic, BigFloatContext
+from repro.arith.bigfloat.number import RNDD, RNDU, RNDZ
 from repro.arith.interface import Ordering
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the fpc compiler: lexer, parser, codegen semantics."""
 
-import math
-
 import pytest
 
 from repro.errors import CompileError

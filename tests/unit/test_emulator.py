@@ -8,13 +8,12 @@ import pytest
 from repro.ieee.bits import (
     F64_DEFAULT_QNAN,
     F64_EXP_MASK,
-    bits_to_f64,
     f32_to_bits,
     f64_to_bits,
     is_qnan64,
 )
 from repro.isa.instructions import Instruction
-from repro.isa.operands import Imm, Mem, Reg, Xmm
+from repro.isa.operands import Imm, Reg, Xmm
 from repro.arith import VanillaArithmetic
 from repro.fpvm.decoder import decode_instruction
 from repro.fpvm.binding import bind

@@ -18,7 +18,7 @@ from repro.fpvm.runtime import FPVMConfig
 from repro.fpvm.shadow import ShadowStore
 from repro.machine.memory import Memory
 from repro.session import Session
-from repro.trace.events import DegradeEvent, event_from_dict
+from repro.trace.events import event_from_dict
 
 TRAPPY_SRC = """
 long main() {

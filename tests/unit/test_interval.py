@@ -8,7 +8,6 @@ interval.  We check it against exact Fraction arithmetic.
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,9 +143,8 @@ class TestComparisons:
 
 class TestUnderFPVM:
     def test_validates_and_reports_width(self):
-        from repro.arith import VanillaArithmetic
         from repro.compiler import compile_source
-        
+
         src = """
         long main() {
             double x = 1.0;

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import MachineError
-from repro.ieee.bits import bits_to_f64, f64_to_bits
+from repro.ieee.bits import bits_to_f64
 from repro.machine.libc import format_printf
 from conftest import RAX, RBX, RDI, XMM0, asm_program, imm, lbl, mem
 from repro.isa.operands import Reg
@@ -45,6 +45,15 @@ class TestFormatPrintf:
 
     def test_prerendered_string_fp(self):
         assert format_printf("%f", [], ["3.333e-01"]) == "3.333e-01"
+
+    def test_alternate_form_matches_c(self):
+        # expected strings are the host C library's output
+        assert format_printf("%#x|%#X|%#o|%#x|%#o|%#08x",
+                             [255, 255, 8, 0, 0, 255], []) \
+            == "0xff|0XFF|010|0|0|0x0000ff"
+        assert format_printf("%#g|%#.3e|%#.0f|%#G", [],
+                             [1.0, 1.0, 2.0, 0.5]) \
+            == "1.00000|1.000e+00|2.|0.500000"
 
 
 class TestOutput:

@@ -1,8 +1,6 @@
 """Unit tests for FP instruction semantics, trap precision, and the
 non-faulting "correctness hole" ops on the simulated CPU."""
 
-import math
-
 import pytest
 
 from repro.errors import UnhandledTrap
@@ -14,7 +12,7 @@ from repro.ieee.bits import (
     f64_to_bits,
 )
 from repro.ieee.softfloat import Flags
-from repro.isa.operands import Imm, Reg, Xmm
+from repro.isa.operands import Imm
 from repro.machine.loader import load_binary
 from repro.machine.traps import TrapKind
 from conftest import RAX, RBX, XMM0, XMM1, XMM2, asm_program, imm, lbl, mem, run_program

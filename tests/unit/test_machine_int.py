@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MachineError
 from conftest import (
-    EAX, RAX, RBX, RCX, RDX, RDI,
+    EAX, RAX, RBX, RCX,
     imm, lbl, mem, run_program,
 )
 
@@ -219,7 +219,6 @@ class TestControlFlow:
 
         # "five" falls through to the trailing ret added by the helper;
         # easier: define explicitly
-        from conftest import asm_program
         from repro.machine.loader import load_binary
         from repro.asm import Assembler
 

@@ -1,7 +1,5 @@
 """Unit tests for the posit quire (exact dot-product accumulator)."""
 
-import math
-
 import pytest
 
 from repro.ieee.bits import bits_to_f64, f64_to_bits

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.errors import MachineError
-from repro.ieee.bits import bits_to_f64, f64_to_bits
+from repro.ieee.bits import bits_to_f64
 from repro.ieee.softfloat import Flags
 from repro.arith import BigFloatArithmetic, VanillaArithmetic
 from repro.fpvm import FPVM

@@ -1,7 +1,8 @@
-"""Pinned fixpoints of the value-set and interval-range analyses.
+"""Pinned fixpoints of the value-set, interval-range and box-liveness
+analyses.
 
-Both fixpoints widen a state after its 12th join, so the result
-depends on the order the worklist pops its keys.  A change to the
+The first two fixpoints widen a state after its 12th join, so the
+result depends on the order the worklist pops its keys.  A change to the
 state representation that reorders the worklist moves the widening
 and with it the iteration counts and, eventually, the patches.  These
 pins catch that in a second, before any soundness suite runs: the
@@ -20,6 +21,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 from repro.analysis import analyze_and_patch, clear_cache
+from repro.analysis.liveness import BoxLiveness
 from repro.analysis.ranges import (analyze_ranges, clear_ranges_cache,
                                    validate_sanitize_exemptions)
 from repro.analysis.vsa import ValueSetAnalysis
@@ -129,6 +131,28 @@ SLOW_PINS = {
 }
 
 
+#: box-liveness worklist visits (same size and threshold); the slow
+#: programs run under ``-m slow`` with :data:`SLOW_PINS`
+LIVENESS_ITERATIONS = {
+    "lorenz": 311,
+    "numbugs_cancel": 95,
+    "numbugs_sum": 141,
+    "numbugs_var": 164,
+    "fbench": 387,
+    "nas_ep": 662,
+    "three_body": 1600,
+}
+
+SLOW_LIVENESS_ITERATIONS = {
+    "enzo": 3462,
+    "nas_cg": 1750,
+    "nas_is": 745,
+    "nas_mg": 1878,
+    "nas_lu": 4528,
+    "miniaero": 2424,
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_fixpoint_is_pinned(name):
     check_pin(name, PINS[name])
@@ -138,6 +162,25 @@ def test_fixpoint_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(SLOW_PINS))
 def test_slow_fixpoint_is_pinned(name):
     check_pin(name, SLOW_PINS[name])
+
+
+@pytest.mark.parametrize("name", sorted(LIVENESS_ITERATIONS))
+def test_liveness_is_pinned(name):
+    assert liveness_iterations(name) == LIVENESS_ITERATIONS[name]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(SLOW_LIVENESS_ITERATIONS))
+def test_slow_liveness_is_pinned(name):
+    assert liveness_iterations(name) == SLOW_LIVENESS_ITERATIONS[name]
+
+
+def liveness_iterations(name):
+    binary = get_workload(name).build("test")
+    _, vsa = analyze_and_patch(binary, cache=False, keep_vsa=True)
+    live = BoxLiveness(vsa)
+    live.run()
+    return live.iterations
 
 
 def check_pin(name, pin):

@@ -10,6 +10,8 @@ that demote boxes back to IEEE doubles before re-executing:
 * :mod:`repro.analysis.domain`  — registers/a-locs value-set domain
   (values are flat tagged tuples, compared and hashed in C)
 * :mod:`repro.analysis.cfg`     — control-flow recovery over a Binary
+* :mod:`repro.analysis.fixpoint` — the one worklist engine (widening,
+  recording pass, global-word map) of the VSA, ranges and liveness
 * :mod:`repro.analysis.vsa`     — worklist value-set analysis (each
   instruction is its own basic block, as in the paper) with k=1
   call-string contexts; each instruction is compiled once into a

@@ -10,10 +10,10 @@ exact to a rounding, whatever the loop bounds.  This pass proves that
 proven sites entirely (the PR-5 box-free fast-path pattern applied to
 sanitizing).
 
-It is a second worklist fixpoint over the same ``(ctx, addr)`` keys as
-the value-set analysis (:mod:`repro.analysis.vsa`), reusing the
-converged VSA states for every addressing question (which stack slot,
-which global word, what integer range feeds a conversion) and
+It runs on the fixpoint engine and over the ``(ctx, addr)`` keys of the
+value-set analysis (:mod:`repro.analysis.vsa`), reusing the converged
+VSA states for every addressing question (which stack slot, which
+global word, what integer range feeds a conversion) and
 :class:`repro.arith.interval.IntervalArithmetic` as the transfer-
 function library for the value question.  The abstract value for one
 FP location is
@@ -54,12 +54,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 
 from repro.analysis.domain import Num, add_val, combine_pointwise
+from repro.analysis.fixpoint import Fixpoint
 from repro.analysis.si import SI
 from repro.analysis.vsa import (INTERPOSED_EXTERNS, NO_FP_EXTERNS,
-                                ValueSetAnalysis, _WIDEN_AFTER)
+                                ValueSetAnalysis)
 from repro.arith.interval import IntervalArithmetic, _is_nai
 from repro.isa.operands import Mem, Reg, Xmm
 from repro.isa.registers import canonical
@@ -275,75 +277,39 @@ class FPState:
 # the analysis                                                                 #
 # --------------------------------------------------------------------------- #
 
-class RangeAnalysis:
+class RangeAnalysis(Fixpoint):
     """Worst-case rounding-divergence bounds per checked FP site."""
+
+    join = staticmethod(FPState.join)
+    value_join = staticmethod(_join_fp)
+    value_bottom = FBOT
+    value_top = FTOP
 
     def __init__(self, binary, threshold: float = 1e-6,
                  vsa: ValueSetAnalysis | None = None) -> None:
-        self.binary = binary
-        self.threshold = threshold
         if vsa is None:
             vsa = ValueSetAnalysis(binary)
             vsa.run()
+        super().__init__(binary, vsa.cfg)
+        self.threshold = threshold
         #: converged VSA of ``binary``; patching does not change it (the
         #: analysis looks through correctness traps), so the one the
         #: patcher's analysis ran before patching serves as well
         self.vsa = vsa
-        self.cfg = self.vsa.cfg
-        self.states: dict[tuple[int, int], FPState] = {}
-        self.join_counts: dict[tuple[int, int], int] = {}
-        self.iterations = 0
-        self._ctx = 0
-        # flow-insensitive FP view of global data words, seeded from the
-        # static data image, weak-updated with reader re-queueing
-        self.g_vals: dict[tuple, object] = {}
-        self.g_readers: dict[tuple, set[tuple[int, int]]] = {}
-        self._poisoned = False
-        self._recording = False
         #: site addr -> Rng | FTOP, joined over contexts at the fixpoint
         self.site_bounds: dict[int, object] = {}
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
-        entry = self.binary.entry
-        init = FPState(_XMM_TOP, {})
-        work: list[tuple[int, int]] = []
-        self._merge_in((0, entry), init, work)
-        while work:
-            key = work.pop()
-            ctx, addr = key
-            state = self.states.get(key)
-            ins = self.binary.text_map.get(addr)
-            if state is None or ins is None:
-                continue
-            self.iterations += 1
-            self._ctx = ctx
-            for succ_key, succ_state in self._transfer(ins, state, work):
-                self._merge_in(succ_key, succ_state, work)
-        # record site bounds from the converged states only (transient
-        # pre-widening enumerations would otherwise pollute the proofs;
-        # same rationale as ValueSetAnalysis._record_at_fixpoint)
-        self._recording = True
-        sink: list = []
-        for (ctx, addr), st in sorted(self.states.items()):
-            ins = self.binary.text_map.get(addr)
-            if ins is None:
-                continue
-            self._ctx = ctx
-            self._transfer(ins, st, sink)
+        """Solve, then record the site bounds at the fixpoint."""
+        self._solve(FPState(_XMM_TOP, {}))
+        self._record_pass()
 
-    def _merge_in(self, key, state: FPState, work) -> None:
-        old = self.states.get(key)
-        if old is None:
-            self.states[key] = state
-            work.append(key)
-            return
-        count = self.join_counts.get(key, 0) + 1
-        self.join_counts[key] = count
-        new = old.join(state, widen=count > _WIDEN_AFTER)
-        if new is not old and new != old:
-            self.states[key] = new
-            work.append(key)
+    def _compile(self, ins):
+        """The mnemonic chain of :meth:`_transfer`, bound to ``ins``."""
+        if ins.mnemonic == "call":
+            return partial(self._transfer_call, ins), None
+        return partial(self._transfer, ins), self.cfg.succ.get(ins.addr, ())
 
     # ------------------------------------------------------------------ #
     # memory model (addressing questions answered by the converged VSA)   #
@@ -377,7 +343,7 @@ class RangeAnalysis:
                 return ("g", keys)
         return None
 
-    def _static_fp(self, gkey):
+    def _seed(self, gkey):
         """FP seed of a data word: its initial bytes read as binary64."""
         addr = gkey[1]
         data = self.binary.data
@@ -389,38 +355,6 @@ class RangeAnalysis:
                 return Rng(v, v, 0.0, v.is_integer() and abs(v) <= _EXACT_INT)
         return FTOP
 
-    def _g_read(self, ins, keys, st: FPState):
-        val = FBOT
-        for gkey in keys:
-            self.g_readers.setdefault(gkey, set()).add(
-                (self._ctx, ins.addr))
-            if self._poisoned:
-                return FTOP
-            cur = self.g_vals.get(gkey)
-            if cur is None:
-                cur = self._static_fp(gkey)
-            val = _join_fp(val, cur)
-        return val if val is not FBOT else FTOP
-
-    def _g_update(self, gkey, val, work) -> None:
-        """Monotone weak update; re-queues affected readers."""
-        old = self.g_vals.get(gkey)
-        seeded = old if old is not None else self._static_fp(gkey)
-        new = _join_fp(seeded, val)
-        if new != seeded or gkey not in self.g_vals:
-            self.g_vals[gkey] = new
-            for reader in self.g_readers.get(gkey, ()):
-                work.append(reader)
-
-    def _poison_all(self, work) -> None:
-        """A write through an unknown pointer: every FP global is
-        suspect, forever (flow-insensitive map)."""
-        if self._poisoned:
-            return
-        self._poisoned = True
-        for readers in self.g_readers.values():
-            work.extend(readers)
-
     def _load(self, ins, mem: Mem, st: FPState):
         cell = self._mem_cell(ins, mem)
         if cell is None:
@@ -428,12 +362,13 @@ class RangeAnalysis:
         kind, keys = cell
         if kind == "s":
             return st.stack_get(keys)
-        return self._g_read(ins, keys, st)
+        return self._join_global_reads(ins.addr, keys)
 
     def _store(self, ins, mem: Mem, st: FPState, val, work) -> FPState:
         cell = self._mem_cell(ins, mem)
         if cell is None:
-            self._poison_all(work)
+            # an unknown pointer: every FP global is suspect, forever
+            self._poison_globals(None, None, work)
             return st.clobber_stack()
         kind, keys = cell
         wide = mem.size > 8
@@ -444,9 +379,9 @@ class RangeAnalysis:
             return out
         weak = len(keys) > 1
         for gkey in keys:
-            self._g_update(gkey, FTOP if weak else val, work)
+            self._update_global(gkey, FTOP if weak else val, work)
         if wide and len(keys) == 1:
-            self._g_update(("g", keys[0][1] + 8), FTOP, work)
+            self._update_global(("g", keys[0][1] + 8), FTOP, work)
         return st
 
     def _clobber_mem(self, ins, mem: Mem, st: FPState, work) -> FPState:
@@ -603,19 +538,12 @@ class RangeAnalysis:
     # the transfer function                                               #
     # ------------------------------------------------------------------ #
 
-    def _transfer(self, ins, st: FPState, work):
+    def _transfer(self, ins, st: FPState, work) -> FPState:
         mn = ins.mnemonic
-        if mn in ("fpvm_trap", "fpvm_patch") and ins.payload:
-            ins = ins.payload["original"]
-            mn = ins.mnemonic
         ops = ins.operands
-        succs = self.cfg.succ.get(ins.addr, [])
         out = st
 
-        if mn == "call":
-            return self._transfer_call(ins, st, work)
-
-        elif mn in _FP_BINOPS:
+        if mn in _FP_BINOPS:
             dst, src = ops
             a = st.xmm_get(dst.index)
             b = (st.xmm_get(src.index) if isinstance(src, Xmm)
@@ -712,7 +640,7 @@ class RangeAnalysis:
             # mem): the destination word's FP view dies
             out = self._clobber_mem(ins, ops[0], st, work)
 
-        return [((self._ctx, s), out) for s in succs]
+        return out
 
     def _bitwise(self, ins, mn, ops, st: FPState) -> FPState:
         dst, src = ops
@@ -744,7 +672,8 @@ class RangeAnalysis:
         if not (isinstance(ea, Num) and ea.si.is_const):
             return None
         addr = ea.si.lo
-        if self._poisoned or ("g", addr & ~7) in self.g_vals:
+        if (self._global_poisoned(addr)
+                or ("g", addr & ~7) in self.global_vals):
             return None  # the mask word may have been overwritten
         off = addr - self.binary.data_base
         data = self.binary.data
@@ -762,7 +691,8 @@ class RangeAnalysis:
             ret_state = FPState(_XMM_TOP, st.stack)
         else:
             if callee is None:
-                self._poison_all(work)  # unknown extern may write FP data
+                # an unknown extern may write FP data
+                self._poison_globals(None, None, work)
             ret_state = FPState(_XMM_TOP, {})
         if ret_site in self.binary.text_map:
             out.append(((self._ctx, ret_site), ret_state))

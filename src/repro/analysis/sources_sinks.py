@@ -64,11 +64,10 @@ def _symbol_clamper(vsa: "ValueSetAnalysis"):
     """Clamp widened global ranges to the extent of the data symbol
     they start in — the classic VSA use of the symbol table to derive
     a-loc boundaries [5].  A loop whose index widened to ±2^32 still
-    only aliases the array it indexes, not every global after it."""
-    binary = vsa.binary
-    data_end = binary.data_base + len(binary.data)
-    bounds = sorted(a for a in binary.symbols.values()
-                    if binary.data_base <= a < data_end)
+    only aliases the array it indexes, not every global after it.  The
+    extents are the VSA's own (:meth:`ValueSetAnalysis._symbol_end`)."""
+    data_base, data_end = vsa.binary.data_base, vsa._data_end
+    symbol_end = vsa._symbol_end
 
     def clamp(acc: AccessSet) -> AccessSet:
         if not acc.ranges:
@@ -77,9 +76,8 @@ def _symbol_clamper(vsa: "ValueSetAnalysis"):
         for r in acc.ranges:
             if r[0] == "gr":
                 lo, hi = r[1], r[2]
-                if binary.data_base <= lo < data_end:
-                    nxt = next((b for b in bounds if b > lo), data_end)
-                    hi = min(hi, nxt - 1)
+                if data_base <= lo < data_end:
+                    hi = min(hi, symbol_end(lo) - 1)
                 new_ranges.append(("gr", lo, hi))
             else:
                 new_ranges.append(r)

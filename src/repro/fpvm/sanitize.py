@@ -296,9 +296,9 @@ class Sanitizer:
     """Divergence checker + per-site provenance tables.
 
     Owned by the FPVM when its arithmetic is a
-    :class:`DualPathArithmetic`; the emulator calls :meth:`check_bound`
-    after each emulated instruction and the libm wrappers call
-    :meth:`check_value` after boxing their result.
+    :class:`DualPathArithmetic`; :meth:`check_value` is called by the
+    emulator at each destination lane of a checked instruction and by
+    the libm wrappers after boxing their result.
     """
 
     def __init__(self, arith: DualPathArithmetic, config: SanitizeConfig,

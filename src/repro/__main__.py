@@ -500,26 +500,6 @@ def cmd_sanitize(args) -> int:
     return 1 if stats.sanitize_flags else 0
 
 
-def cmd_serve(args) -> int:
-    from repro.serve.daemon import ServeConfig, run_daemon
-
-    run_daemon(ServeConfig(
-        host=args.host,
-        port=args.port,
-        socket_path=args.socket,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        shed_watermark=args.shed_watermark,
-        job_timeout_s=args.job_timeout,
-        retries=args.retries,
-        backoff_s=args.backoff,
-        cache_entries=args.cache_entries,
-        selftest=not args.no_selftest,
-        crash_log=args.crash_log,
-    ))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro",
@@ -719,41 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write NDJSON crash reports for crashed "
                            "cells into DIR")
     ch_p.set_defaults(fn=cmd_chaos)
-
-    sv_p = sub.add_parser(
-        "serve",
-        help="run the FPVM-as-a-service daemon: accept jobs over a "
-             "local HTTP API with crash-isolated workers, admission "
-             "control, and load-shedding")
-    sv_p.add_argument("--host", default="127.0.0.1")
-    sv_p.add_argument("--port", type=int, default=8714,
-                      help="TCP port (0 = kernel-assigned)")
-    sv_p.add_argument("--socket", default=None, metavar="PATH",
-                      help="listen on a unix socket instead of TCP")
-    sv_p.add_argument("--workers", type=int, default=2,
-                      help="crash-isolated worker processes")
-    sv_p.add_argument("--queue-limit", type=int, default=16,
-                      help="backlog ceiling; jobs above it get a "
-                           "structured 429")
-    sv_p.add_argument("--shed-watermark", type=int, default=8,
-                      help="backlog level where new jobs are demoted "
-                           "to vanilla-precision before any are "
-                           "rejected")
-    sv_p.add_argument("--job-timeout", type=float, default=30.0,
-                      help="per-job wall-clock timeout (seconds)")
-    sv_p.add_argument("--retries", type=int, default=2,
-                      help="retry budget for jobs whose worker died "
-                           "or timed out")
-    sv_p.add_argument("--backoff", type=float, default=0.05,
-                      help="base retry backoff (doubles per attempt)")
-    sv_p.add_argument("--cache-entries", type=int, default=256,
-                      help="result-cache capacity (0 disables)")
-    sv_p.add_argument("--no-selftest", action="store_true",
-                      help="skip the startup self-test job")
-    sv_p.add_argument("--crash-log", default=None, metavar="FILE",
-                      help="append NDJSON crash records of contained "
-                           "guest deaths to FILE")
-    sv_p.set_defaults(fn=cmd_serve)
     return p
 
 

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.domain import AccessSet
 from repro.analysis.fixpoint import Fixpoint
-from repro.analysis.sources_sinks import _symbol_clamper, accesses_intersect
+from repro.analysis.sources_sinks import accesses_intersect
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.report import AnalysisReport
@@ -72,7 +72,6 @@ class BoxLiveness(Fixpoint):
     def __init__(self, vsa: "ValueSetAnalysis") -> None:
         super().__init__(vsa.binary, vsa.cfg)
         self.vsa = vsa
-        self.clamp = _symbol_clamper(vsa)
         self._callee_fp = self._function_fp_summaries()
 
     # ------------------------------------------------------------------ #
@@ -85,7 +84,7 @@ class BoxLiveness(Fixpoint):
             for a in addrs:
                 w = self.vsa.writes_fp.get(a)
                 if w is not None:
-                    acc = _union(acc, self.clamp(w))
+                    acc = _union(acc, w)
             summary[entry] = acc
         callees: dict[int, set[int]] = {e: set() for e in cfg.functions}
         for site, callee in cfg.calls.items():
@@ -110,17 +109,14 @@ class BoxLiveness(Fixpoint):
         full-width integer store to one exact global a-loc strongly
         kills, and the clamped FP-write set an FP store gens."""
         vsa, addr = self.vsa, ins.addr
-        kill = gen = None
+        kill = None
         w = vsa.writes_int.get(addr)
-        if w is not None and vsa.write_widths.get(addr, 0) >= 8:
-            acc = self.clamp(w)
-            if not acc.top and not acc.ranges and len(acc.alocs) == 1:
-                (aloc,) = acc.alocs
-                if aloc[0] == "g":
-                    kill = aloc
-        fp = vsa.writes_fp.get(addr)
-        if fp is not None:
-            gen = self.clamp(fp)
+        if (w is not None and vsa.write_widths.get(addr, 0) >= 8
+                and not w.top and not w.ranges and len(w.alocs) == 1):
+            (aloc,) = w.alocs
+            if aloc[0] == "g":
+                kill = aloc
+        gen = vsa.writes_fp.get(addr)
 
         def transfer(st, work):
             if kill is not None and kill in st.alocs:
@@ -155,12 +151,11 @@ def refine(vsa: "ValueSetAnalysis", report: "AnalysisReport") -> None:
     """
     live = BoxLiveness(vsa)
     live.run()
-    clamp = live.clamp
-    fp_writes = [(a, clamp(acc)) for a, acc in sorted(vsa.writes_fp.items())]
+    fp_writes = sorted(vsa.writes_fp.items())
 
     kept: list[int] = []
     for addr in report.sinks:
-        access = clamp(vsa.reads_int[addr].access)
+        access = vsa.reads_int[addr].access
         report.provenance[addr] = [w for w, acc in fp_writes
                                    if accesses_intersect(acc, access)]
         if access.top or access.ranges:

@@ -60,32 +60,6 @@ def accesses_intersect(a: AccessSet, b: AccessSet) -> bool:
     return False
 
 
-def _symbol_clamper(vsa: "ValueSetAnalysis"):
-    """Clamp widened global ranges to the extent of the data symbol
-    they start in — the classic VSA use of the symbol table to derive
-    a-loc boundaries [5].  A loop whose index widened to ±2^32 still
-    only aliases the array it indexes, not every global after it.  The
-    extents are the VSA's own (:meth:`ValueSetAnalysis._symbol_end`)."""
-    data_base, data_end = vsa.binary.data_base, vsa._data_end
-    symbol_end = vsa._symbol_end
-
-    def clamp(acc: AccessSet) -> AccessSet:
-        if not acc.ranges:
-            return acc
-        new_ranges = []
-        for r in acc.ranges:
-            if r[0] == "gr":
-                lo, hi = r[1], r[2]
-                if data_base <= lo < data_end:
-                    hi = min(hi, symbol_end(lo) - 1)
-                new_ranges.append(("gr", lo, hi))
-            else:
-                new_ranges.append(r)
-        return AccessSet(acc.alocs, tuple(new_ranges), acc.top)
-
-    return clamp
-
-
 def classify(vsa: "ValueSetAnalysis") -> AnalysisReport:
     """Build the final report from the fixpoint's accumulated events."""
     report = AnalysisReport()
@@ -96,14 +70,11 @@ def classify(vsa: "ValueSetAnalysis") -> AnalysisReport:
     report.fp_store_sites = len(vsa.writes_fp)
     report.int_load_sites = len(vsa.reads_int)
 
-    clamp = _symbol_clamper(vsa)
-
     # the union of everything FP stores may have written
     fp_union_alocs: set = set()
     fp_ranges: list = []
     fp_top = False
     for acc in vsa.writes_fp.values():
-        acc = clamp(acc)
         fp_union_alocs |= acc.alocs
         fp_ranges.extend(acc.ranges)
         fp_top = fp_top or acc.top
@@ -114,7 +85,7 @@ def classify(vsa: "ValueSetAnalysis") -> AnalysisReport:
     for addr, ev in sorted(vsa.reads_int.items()):
         if not any_fp:
             break
-        access = clamp(ev.access)
+        access = ev.access
         conservative = access.top or bool(access.ranges)
         if accesses_intersect(access, fp_set):
             report.sinks.append(addr)

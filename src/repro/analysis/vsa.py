@@ -6,8 +6,10 @@ and int-read cells.  Two phases:
 
 1. the abstract interpreter runs to fixpoint, then one recording pass
    over the converged states records for every instruction the
-   *access sets* of its memory reads and writes and the kind of each
-   access (FP store = source, integer load = sink candidate, …);
+   *access sets* of its memory writes and integer reads and the kind
+   of each access (FP store = source, integer load = sink candidate,
+   …); each table is then clamped once to the data symbols
+   (:meth:`ValueSetAnalysis._clamp`);
 2. :mod:`repro.analysis.sources_sinks` intersects the accumulated FP
    write set with each integer-load access set to decide which
    candidates are true sinks.
@@ -223,6 +225,12 @@ def _identity(st, work):
     return st
 
 
+def _union(a: AccessSet, b: AccessSet) -> AccessSet:
+    """Join of two access sets recorded for one instruction."""
+    return AccessSet(a.alocs | b.alocs,
+                     tuple(set(a.ranges) | set(b.ranges)), a.top or b.top)
+
+
 class ValueSetAnalysis(Fixpoint):
     """The paper's static analyzer, operating on our ISA."""
 
@@ -244,7 +252,6 @@ class ValueSetAnalysis(Fixpoint):
         self.writes_int: dict[int, AccessSet] = {}
         self.write_widths: dict[int, int] = {}      # instr -> min store width
         self.reads_int: dict[int, ReadEvent] = {}
-        self.reads_fp: dict[int, AccessSet] = {}
         self.movq_sinks: set[int] = set()
         self.bitwise_sites: set[int] = set()
 
@@ -256,13 +263,21 @@ class ValueSetAnalysis(Fixpoint):
 
     # ------------------------------------------------------------------ #
     def run(self) -> AnalysisReport:
-        """Solve, record the access tables at the fixpoint, classify."""
+        """Solve, record the access tables at the fixpoint, clamp them
+        to their data symbols once, classify."""
         from repro.analysis.sources_sinks import classify
 
         entry = self.binary.entry
         self._solve(AbsState(RegState.entry(entry, RegState.top_state()),
                              {}))
         self._record_pass()
+        clamp = self._clamp
+        for table in (self.writes_fp, self.writes_int):
+            for addr, acc in table.items():
+                table[addr] = clamp(acc)
+        for addr, ev in self.reads_int.items():
+            self.reads_int[addr] = ReadEvent(addr, clamp(ev.access),
+                                             ev.width)
         return classify(self)
 
     # ------------------------------------------------------------------ #
@@ -277,12 +292,7 @@ class ValueSetAnalysis(Fixpoint):
 
     def _record(self, table: dict, addr: int, acc: AccessSet) -> None:
         old = table.get(addr)
-        if old is None:
-            table[addr] = acc
-            return
-        table[addr] = AccessSet(old.alocs | acc.alocs,
-                                tuple(set(old.ranges) | set(acc.ranges)),
-                                old.top or acc.top)
+        table[addr] = acc if old is None else _union(old, acc)
 
     _stack_aloc = staticmethod(_stack_aloc)
 
@@ -297,10 +307,7 @@ class ValueSetAnalysis(Fixpoint):
             acc = resolve_access(ea, size)
             ev = self.reads_int.get(addr)
             if ev is not None:
-                acc = AccessSet(
-                    ev.access.alocs | acc.alocs,
-                    tuple(set(ev.access.ranges) | set(acc.ranges)),
-                    ev.access.top or acc.top)
+                acc = _union(ev.access, acc)
             self.reads_int[addr] = ReadEvent(addr, acc, size)
         kind = type(ea)
         if kind is StackAddr:
@@ -320,10 +327,6 @@ class ValueSetAnalysis(Fixpoint):
                 if keys is not None:
                     return self._join_global_reads(addr, keys)
         return TOP
-
-    def _record_fp_read(self, addr: int, ea, size: int) -> None:
-        if ea is not BOTTOM:
-            self._record(self.reads_fp, addr, resolve_access(ea, size))
 
     def _symbol_end(self, lo: int) -> int:
         """End (exclusive) of the data symbol containing the data
@@ -350,6 +353,22 @@ class ValueSetAnalysis(Fixpoint):
                 keys = [("g", a) for a in range(base, end + 1, 8)]
         self._clamped[lo, hi] = keys
         return keys
+
+    def _clamp(self, acc: AccessSet) -> AccessSet:
+        """Clamp widened global ranges to the extent of the data symbol
+        they start in — the classic VSA use of the symbol table to
+        derive a-loc boundaries [5].  A loop whose index widened to
+        ±2^32 still only aliases the array it indexes, not every global
+        after it."""
+        if not acc.ranges:
+            return acc
+        data_base, data_end = self.binary.data_base, self._data_end
+        ranges = []
+        for r in acc.ranges:
+            if r[0] == "gr" and data_base <= r[1] < data_end:
+                r = ("gr", r[1], min(r[2], self._symbol_end(r[1]) - 1))
+            ranges.append(r)
+        return AccessSet(acc.alocs, tuple(ranges), acc.top)
 
     def _seed(self, gkey):
         addr = gkey[1]
@@ -654,42 +673,29 @@ class ValueSetAnalysis(Fixpoint):
             ea, size, store = _ea_fn(dst), dst.size, self._store
             return lambda st, work: store(addr, ea(st[0]), size, st, TOP,
                                           True, work)
-        # movq xmm, r64 (GPR->xmm bits) needs no patch: FPVM sees the
-        # value when arithmetic consumes it
-        return self._compile_fp_reads(addr, (src,), None)
+        # a load into an xmm register, or movq xmm, r64 (GPR->xmm
+        # bits), changes no tracked state and needs no patch: FPVM sees
+        # the value when arithmetic consumes it
+        return _identity
 
     def _compile_bitwise(self, ins, mn, ops):
-        return self._compile_fp_reads(ins.addr, ops[1:2], self.bitwise_sites)
+        addr, sites = ins.addr, self.bitwise_sites
+
+        def bitwise(st, work):
+            sites.add(addr)
+            return st
+        return bitwise
 
     def _compile_fp_op(self, ins, mn, ops):
-        # trap-capable FP instruction: memory operands are FP reads; a
-        # conversion into a GPR leaves an unbounded number there
-        out = None
-        if mn.startswith("cvt") and ops and isinstance(ops[0], Reg):
-            out = REG_INDEX[canonical(ops[0].name)]
-        return self._compile_fp_reads(ins.addr, ops, None, out)
-
-    def _compile_fp_reads(self, addr: int, ops, sites: set | None,
-                          out: int | None = None):
-        """FP loads of the memory operands among ``ops`` (recorded in
-        the recording pass); ``sites`` collects ``addr`` on every
-        visit; ``out`` is a register the instruction sets to an
-        unbounded number."""
-        reads = [(_ea_fn(op), op.size) for op in ops if isinstance(op, Mem)]
-        if not reads and sites is None and out is None:
+        # trap-capable FP instruction: only a conversion into a GPR
+        # changes the abstract state, leaving an unbounded number there
+        if not (mn.startswith("cvt") and ops and isinstance(ops[0], Reg)):
             return _identity
-        record = self._record_fp_read
+        out = REG_INDEX[canonical(ops[0].name)]
 
-        def fp_reads(st, work):
-            if sites is not None:
-                sites.add(addr)
-            if reads and self._recording:
-                for ea, size in reads:
-                    record(addr, ea(st[0]), size)
-            if out is None:
-                return st
+        def cvt(st, work):
             return _new(AbsState, (set_reg(st[0], out, _NUM_TOP), st[1]))
-        return fp_reads
+        return cvt
 
     def _compile_call(self, ins):
         addr = ins.addr

@@ -59,17 +59,8 @@ def build_crash_report(
     ring=None,
     cell=None,
     label: str = "",
-    job_id: int | None = None,
-    tenant: str = "",
 ) -> list[dict]:
-    """Distill a crash into JSON-safe, ``kind``-tagged records.
-
-    ``job_id``/``tenant`` are the serving tier's attribution tags: the
-    daemon assigns every accepted job a monotonic id, and concurrent
-    workers append their reports to one shared NDJSON stream — so the
-    tags go on *every* record, making each line independently
-    attributable after interleaving.
-    """
+    """Distill a crash into JSON-safe, ``kind``-tagged records."""
     records: list[dict] = []
     head: dict = {
         "kind": "crash",
@@ -136,14 +127,7 @@ def build_crash_report(
         plan = info.get("fault_plan")
         if plan is not None:
             info["fault_plan"] = cell.fault_plan.describe()
-        for key, val in info.items():
-            if isinstance(val, bytes):  # e.g. MatrixCell.stdin
-                info[key] = val.decode("latin-1")
         records.append({"kind": "cell", **info})
-    if job_id is not None:
-        for rec in records:
-            rec["job_id"] = job_id
-            rec["tenant"] = tenant
     return records
 
 
@@ -158,9 +142,8 @@ def write_crash_report(path_or_file: str | Path | IO[str],
     whole report as a single buffer, so concurrent workers sharing one
     crash log interleave at report granularity rather than tearing
     lines; ``fsync=True`` forces the report to stable storage before
-    returning (a crashed-worker report must survive the daemon dying
-    right after).  Both matter only for the serving tier — one-shot
-    CLI reports keep the plain truncate-and-write default.
+    returning, so it survives the writing process dying right after.
+    The default is a plain truncate-and-write.
     """
     buf = "".join(json.dumps(rec) + "\n" for rec in records)
     if isinstance(path_or_file, (str, Path)):

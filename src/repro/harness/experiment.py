@@ -4,13 +4,12 @@ evaluation section needs.
 The module also provides the parallel experiment matrix: every cell of
 the workload × arithmetic × platform sweep is an independent,
 deterministic simulation, so :func:`run_matrix` fans the cells out over
-the crash-isolated :class:`~repro.harness.pool.WorkerPool` (the same
-pool the serving tier runs on), or loops serially in-process for
-``jobs <= 1``.  Cells and their results are plain picklable data — a
-:class:`RunResult` holds live machine/FPVM objects and cannot cross a
-process boundary, so :func:`run_contained`, the one containment
-wrapper for guest runs, distills each run into a :class:`CellResult`
-in the process that ran it.
+the crash-isolated :class:`~repro.harness.pool.WorkerPool`, or loops
+serially in-process for ``jobs <= 1``.  Cells and their results are
+plain picklable data — a :class:`RunResult` holds live machine/FPVM
+objects and cannot cross a process boundary, so :func:`run_cell`, the
+one containment wrapper for guest runs, distills each run into a
+:class:`CellResult` in the process that ran it.
 """
 
 from __future__ import annotations
@@ -136,11 +135,6 @@ class MatrixCell:
     #: per-cell watchdogs, raised as typed WatchdogExpired in-worker
     max_instructions: int | None = None
     max_cycles: float | None = None
-    #: per-cell guest inputs (picklable: params as (name, value) pairs)
-    #: — the serving tier expresses every job as a cell, so jobs carry
-    #: their stdin stream and data-symbol pokes through the matrix
-    stdin: bytes = b""
-    params: tuple = ()
     label: str = ""
 
 
@@ -184,10 +178,9 @@ def _make_session(cell: MatrixCell):
     from repro.session import Session
 
     platform = PLATFORMS[cell.platform]
-    inputs = {"stdin": cell.stdin, "params": dict(cell.params)}
     if cell.arith is None:
         return Session(cell.workload, None, platform=platform,
-                       size=cell.size, label=cell.label, **inputs)
+                       size=cell.size, label=cell.label)
     config = FPVMConfig(
         mode=cell.mode,
         gc_epoch_cycles=cell.gc_epoch_cycles,
@@ -199,26 +192,26 @@ def _make_session(cell: MatrixCell):
                    platform=platform, size=cell.size,
                    patch=cell.patch,
                    delivery_scenario=cell.delivery_scenario,
-                   label=cell.label, **inputs)
+                   label=cell.label)
 
 
-def run_contained(cell: MatrixCell, make_session,
-                  **crash_tags) -> CellResult:
-    """Run the session ``make_session()`` builds and distill it into a
-    plain-data :class:`CellResult`, containing any exception.
+def run_cell(cell: MatrixCell) -> CellResult:
+    """Run one cell and distill it into a plain-data
+    :class:`CellResult`, containing any exception.
 
     A guest that dies — while its session is built or while it runs —
-    yields ``error`` plus structured crash records (tagged with
-    ``crash_tags``, e.g. the serving tier's ``job_id``/``tenant``) and
-    the partial counters its machine reached, instead of unwinding into
-    the worker.  Every statistic that needs live machine/FPVM objects
-    is computed here, inside the process that ran the guest.
+    yields ``error`` plus structured crash records (labelled by
+    ``cell.label``) and the partial counters its machine reached,
+    instead of unwinding into the worker.  Every statistic that needs
+    live machine/FPVM objects is computed here, inside the process that
+    ran the guest.  This is also the matrix's
+    :class:`~repro.harness.pool.WorkerPool` job function.
     """
     from repro.faults.crashreport import build_crash_report
 
     session = None
     try:
-        session = make_session()
+        session = _make_session(cell)
         res = session.run(cell.max_instructions, max_cycles=cell.max_cycles)
         out = CellResult(
             cell=cell,
@@ -243,7 +236,7 @@ def run_contained(cell: MatrixCell, make_session,
                 and hasattr(session.trace, "events") else None)
         records = build_crash_report(
             exc, machine, session.fpvm if session is not None else None,
-            ring=ring, cell=cell, label=cell.label, **crash_tags)
+            ring=ring, cell=cell, label=cell.label)
         out = CellResult(
             cell=cell,
             stdout=("".join(machine.stdout) if machine is not None else ""),
@@ -269,16 +262,6 @@ def run_contained(cell: MatrixCell, make_session,
             out.faults_fired = dict(fpvm.injector.fired)
             out.fault_occurrences = dict(fpvm.injector.occurrences)
     return out
-
-
-def run_cell(cell: MatrixCell, job_id: int = 0) -> CellResult:
-    """Run one cell under crash containment (see :func:`run_contained`).
-
-    This is also the matrix's :class:`~repro.harness.pool.WorkerPool`
-    job function; the pool's ``job_id`` is unused, since crash records
-    are labelled by ``cell.label``.
-    """
-    return run_contained(cell, lambda: _make_session(cell))
 
 
 def _failed_cell(cell: MatrixCell, error_type: str,

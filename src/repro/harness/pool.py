@@ -1,8 +1,8 @@
 """The crash-isolated worker pool behind every fan-out of guest runs.
 
-Both the experiment matrix (:func:`~repro.harness.experiment.run_matrix`)
-and the serving tier (:mod:`repro.serve`) run their jobs here; the
-parent process never executes guest code.  Each worker slot is minded
+The experiment matrix (:func:`~repro.harness.experiment.run_matrix`),
+and with it the chaos campaign, runs its cells here; the parent
+process never executes guest code.  Each worker slot is minded
 by a tender thread that feeds it jobs from the shared queue and
 watches the pipe for one of three outcomes:
 
@@ -18,12 +18,12 @@ watches the pipe for one of three outcomes:
   salvaged), the slot respawns, and the job is retried under the same
   policy.
 
-A reaper thread additionally respawns workers that die while *idle*
-(chaos kills between jobs) so capacity never silently decays.  Jobs
-are never lost: a queued or in-flight job either completes with a
-worker result or completes with a structured error after exhausting
-retries.  :meth:`JobRecord.complete` is idempotent, which makes the
-"exactly once" guarantee easy to state and test.
+A worker that died while *idle* is respawned by its tender before the
+next dispatch, so capacity never silently decays.  Jobs are never lost:
+a queued or in-flight job either completes with a worker result or
+completes with a structured error after exhausting retries.
+:meth:`JobRecord.complete` is idempotent, which makes the "exactly
+once" guarantee easy to state and test.
 
 Worker processes are forked, so they inherit warm import state and
 the job function itself; the process-wide analysis report cache
@@ -38,8 +38,6 @@ import queue
 import signal
 import threading
 import time
-
-from repro.trace.events import ServeWorkerEvent
 
 _POLL_S = 0.05
 
@@ -56,10 +54,8 @@ class JobRecord:
         self.payload = payload
         self.attempts = 0
         self.result = None
-        self.submitted_at = time.perf_counter()
         self._done = threading.Event()
         self._lock = threading.Lock()
-        self._callbacks: list = []
 
     def complete(self, result) -> bool:
         """Record the job's result; only the first call wins."""
@@ -67,18 +63,8 @@ class JobRecord:
             if self.result is not None:
                 return False
             self.result = result
-            callbacks, self._callbacks = self._callbacks, []
         self._done.set()
-        for cb in callbacks:
-            cb(self)
         return True
-
-    def add_done_callback(self, cb) -> None:
-        with self._lock:
-            if self.result is None:
-                self._callbacks.append(cb)
-                return
-        cb(self)
 
     @property
     def done(self) -> bool:
@@ -99,7 +85,7 @@ def _worker_main(conn, job_fn) -> None:
         if msg is None:
             break
         job_id, payload = msg
-        result = job_fn(payload, job_id=job_id)
+        result = job_fn(payload)
         try:
             conn.send((job_id, result))
         except (BrokenPipeError, OSError):
@@ -113,15 +99,13 @@ class _WorkerSlot:
         self.proc: mp.process.BaseProcess | None = None
         self.conn = None
         self.lock = threading.Lock()
-        self.busy: int | None = None  # job id currently on this worker
-        self.jobs_done = 0
 
 
 class WorkerPool:
     """Fixed-size pool of crash-isolated job workers.
 
-    ``job_fn(payload, job_id=...)`` runs in a forked worker and returns
-    the job's result; it must contain the guest's exceptions itself.
+    ``job_fn(payload)`` runs in a forked worker and returns the job's
+    result; it must contain the guest's exceptions itself.
     ``failed(payload, error_type, message)`` builds, in the parent, the
     result of a job that ran out of retries or never ran before
     :meth:`stop`.  ``job_timeout_s=None`` means no deadline.
@@ -129,40 +113,23 @@ class WorkerPool:
 
     def __init__(self, workers: int, job_fn, failed, *,
                  job_timeout_s: float | None = 30.0, retries: int = 2,
-                 backoff_s: float = 0.05, on_event=None):
+                 backoff_s: float = 0.05):
         self.size = int(workers)
         self._job_fn = job_fn
         self._failed = failed
         self.job_timeout_s = job_timeout_s
         self.retries = int(retries)
         self.backoff_s = backoff_s
-        self._on_event = on_event
         self._ctx = mp.get_context("fork")
         self._queue: queue.Queue = queue.Queue()
         self._slots = [_WorkerSlot(i) for i in range(self.size)]
         self._tenders: list[threading.Thread] = []
-        self._reaper: threading.Thread | None = None
         self._timers: list[threading.Timer] = []
         self._stop = threading.Event()
-        self._stats_lock = threading.Lock()
-        self.worker_deaths = 0
-        self.timeout_kills = 0
-        self.respawns = 0
-        self.retried_jobs = 0
-
-    # ------------------------------------------------------------- events
-
-    def _emit(self, worker: int, action: str, reason: str = "",
-              jobs_done: int = 0) -> None:
-        if self._on_event is not None:
-            self._on_event(ServeWorkerEvent(worker=worker, action=action,
-                                            reason=reason,
-                                            jobs_done=jobs_done))
 
     # ----------------------------------------------------------- spawning
 
-    def _spawn(self, slot: _WorkerSlot, action: str = "spawn",
-               reason: str = "") -> None:
+    def _spawn(self, slot: _WorkerSlot) -> None:
         """(Re)start the process behind ``slot``; caller holds slot.lock."""
         if slot.conn is not None:
             try:
@@ -178,12 +145,6 @@ class WorkerPool:
         # close our copy of the child end so a dead worker reads as EOF
         child_conn.close()
         slot.proc, slot.conn = proc, parent_conn
-        slot.busy = None
-        if action != "spawn":
-            with self._stats_lock:
-                self.respawns += 1
-        self._emit(slot.index, action, reason=reason,
-                   jobs_done=slot.jobs_done)
 
     def start(self) -> None:
         for slot in self._slots:
@@ -194,9 +155,6 @@ class WorkerPool:
                                  daemon=True)
             t.start()
             self._tenders.append(t)
-        self._reaper = threading.Thread(target=self._reap,
-                                        name="pool-reaper", daemon=True)
-        self._reaper.start()
 
     # ---------------------------------------------------------- scheduling
 
@@ -206,8 +164,6 @@ class WorkerPool:
     def _retry_or_fail(self, rec: JobRecord, error_type: str,
                        message: str) -> None:
         if rec.attempts <= self.retries:
-            with self._stats_lock:
-                self.retried_jobs += 1
             delay = self.backoff_s * (2 ** (rec.attempts - 1))
             timer = threading.Timer(delay, self._queue.put, (rec,))
             timer.daemon = True
@@ -234,8 +190,7 @@ class WorkerPool:
                 continue  # completed elsewhere (shutdown race)
             with slot.lock:
                 if slot.proc is None or not slot.proc.is_alive():
-                    self._spawn(slot, action="respawn", reason="dead-idle")
-                slot.busy = rec.id
+                    self._spawn(slot)  # the worker died while idle
                 conn = slot.conn
             rec.attempts += 1
             try:
@@ -243,9 +198,6 @@ class WorkerPool:
                 self._await_result(slot, rec, conn)
             except (BrokenPipeError, OSError, EOFError):
                 self._on_death(slot, rec)
-            finally:
-                with slot.lock:
-                    slot.busy = None
 
     def _await_result(self, slot: _WorkerSlot, rec: JobRecord,
                       conn) -> None:
@@ -261,7 +213,6 @@ class WorkerPool:
                 job_id, result = conn.recv()  # EOFError → caller
                 if job_id != rec.id:  # stale result from a prior epoch
                     continue
-                slot.jobs_done += 1
                 rec.complete(result)
                 return
             proc = slot.proc
@@ -272,66 +223,19 @@ class WorkerPool:
                 raise EOFError
 
     def _on_death(self, slot: _WorkerSlot, rec: JobRecord) -> None:
-        with self._stats_lock:
-            self.worker_deaths += 1
-        self._emit(slot.index, "death", reason=f"died running job {rec.id}",
-                   jobs_done=slot.jobs_done)
         with slot.lock:
-            self._spawn(slot, action="respawn", reason="death")
+            self._spawn(slot)
         self._retry_or_fail(rec, "WorkerDied",
                             "worker process died mid-job")
 
     def _on_timeout(self, slot: _WorkerSlot, rec: JobRecord) -> None:
-        with self._stats_lock:
-            self.timeout_kills += 1
-        self._emit(slot.index, "timeout-kill",
-                   reason=f"job {rec.id} exceeded {self.job_timeout_s}s",
-                   jobs_done=slot.jobs_done)
         with slot.lock:
             proc = slot.proc
             if proc is not None and proc.is_alive():
                 self._kill(proc)
-            self._spawn(slot, action="respawn", reason="timeout")
+            self._spawn(slot)
         self._retry_or_fail(rec, "JobTimeout",
                             f"job exceeded {self.job_timeout_s}s wall clock")
-
-    # ------------------------------------------------------------- reaper
-
-    def _reap(self) -> None:
-        """Respawn workers that die while idle (chaos between jobs)."""
-        while not self._stop.wait(0.25):
-            for slot in self._slots:
-                with slot.lock:
-                    if (slot.proc is not None and not slot.proc.is_alive()
-                            and slot.busy is None):
-                        with self._stats_lock:
-                            self.worker_deaths += 1
-                        self._emit(slot.index, "death", reason="died idle",
-                                   jobs_done=slot.jobs_done)
-                        self._spawn(slot, action="respawn",
-                                    reason="reaper")
-
-    # -------------------------------------------------------------- chaos
-
-    def kill_worker(self, index: int | None = None, *,
-                    busy_only: bool = False, reason: str = "chaos") -> int | None:
-        """SIGKILL one worker (chaos injection).  Returns the slot index."""
-        candidates = []
-        for slot in self._slots:
-            if slot.proc is None or not slot.proc.is_alive():
-                continue
-            if busy_only and slot.busy is None:
-                continue
-            if index is not None and slot.index != index:
-                continue
-            candidates.append(slot)
-        if not candidates:
-            return None
-        slot = candidates[0]
-        self._emit(slot.index, "chaos-kill", reason=reason,
-                   jobs_done=slot.jobs_done)
-        self._kill(slot.proc)
-        return slot.index
 
     @staticmethod
     def _kill(proc) -> None:
@@ -340,36 +244,6 @@ class WorkerPool:
         except (ProcessLookupError, OSError):
             pass
         proc.join(timeout=2.0)
-
-    # ------------------------------------------------------- introspection
-
-    def busy_indices(self) -> list[int]:
-        return [s.index for s in self._slots if s.busy is not None]
-
-    @property
-    def alive(self) -> int:
-        return sum(1 for s in self._slots
-                   if s.proc is not None and s.proc.is_alive())
-
-    @property
-    def backlog(self) -> int:
-        """Jobs queued plus jobs currently on a worker."""
-        return self._queue.qsize() + len(self.busy_indices())
-
-    @property
-    def stats(self) -> dict:
-        with self._stats_lock:
-            return {
-                "workers": self.size,
-                "alive": self.alive,
-                "busy": len(self.busy_indices()),
-                "queued": self._queue.qsize(),
-                "worker_deaths": self.worker_deaths,
-                "timeout_kills": self.timeout_kills,
-                "respawns": self.respawns,
-                "retried_jobs": self.retried_jobs,
-                "jobs_done": sum(s.jobs_done for s in self._slots),
-            }
 
     # ------------------------------------------------------------ shutdown
 
@@ -381,8 +255,6 @@ class WorkerPool:
             self._queue.put(None)
         for t in self._tenders:
             t.join(timeout=2.0)
-        if self._reaper is not None:
-            self._reaper.join(timeout=2.0)
         for slot in self._slots:
             with slot.lock:
                 if slot.proc is not None and slot.proc.is_alive():

@@ -367,76 +367,6 @@ class BatchEvent(TraceEvent):
 
 
 @dataclass(slots=True)
-class ServeJobEvent(TraceEvent):
-    """One served job retired by the ``repro serve`` daemon.
-
-    ``outcome`` is ``"ok"``, ``"error"`` (the guest binary died and
-    was contained — the job still *completed*, carrying crash
-    records), ``"timeout"`` (every retry exhausted its wall-clock
-    budget), or ``"rejected"`` (admission control turned the job away
-    with a structured 429 before it entered the queue).  ``cycles``
-    stays on the modeled clock of the *served run*; ``wall_ms`` is the
-    submit-to-completion daemon latency, which is serving telemetry,
-    not simulation state.
-    """
-
-    kind: ClassVar[str] = "serve_job"
-
-    job_id: int = 0
-    tenant: str = ""
-    workload: str = ""
-    arith: str = ""
-    outcome: str = "ok"          # "ok" | "error" | "timeout" | "rejected"
-    shed: bool = False
-    cached: bool = False
-    retries: int = 0
-    wall_ms: float = 0.0
-    queue_depth: int = 0
-
-
-@dataclass(slots=True)
-class ServeShedEvent(TraceEvent):
-    """One load-shedding demotion by the daemon's SLO valve.
-
-    DegradeEvent-style accounting for the serving tier: under queue
-    pressure an accepted job's arithmetic is demoted to vanilla
-    precision (``from_arith`` → ``to_arith``) instead of being
-    rejected — the graceful-degradation ladder applied at admission
-    time.  Every shed is explained: ``queue_depth`` crossed
-    ``watermark`` while staying under the hard queue limit.
-    """
-
-    kind: ClassVar[str] = "serve_shed"
-
-    job_id: int = 0
-    tenant: str = ""
-    reason: str = "queue-pressure"
-    queue_depth: int = 0
-    watermark: int = 0
-    from_arith: str = ""
-    to_arith: str = "vanilla"
-
-
-@dataclass(slots=True)
-class ServeWorkerEvent(TraceEvent):
-    """A worker-pool lifecycle action in the serving tier.
-
-    ``action``: ``"spawn"`` (pool startup), ``"death"`` (the worker
-    process died — crashed or chaos-killed — while idle or mid-job),
-    ``"timeout-kill"`` (the tender killed it for blowing a job's
-    wall-clock budget), ``"respawn"`` (the reaper replaced it), or
-    ``"chaos-kill"`` (a serve chaos plan killed it deliberately).
-    """
-
-    kind: ClassVar[str] = "serve_worker"
-
-    worker: int = 0
-    action: str = "spawn"
-    reason: str = ""
-    jobs_done: int = 0
-
-
-@dataclass(slots=True)
 class SanitizeFlagEvent(TraceEvent):
     """One dual-path divergence flagged by the numerical sanitizer.
 
@@ -490,8 +420,8 @@ EVENT_KINDS: dict[str, type] = {
                 DemotionEvent, DegradeEvent, PatchEvent, ExternCallEvent,
                 RunMetaEvent, CacheMissEvent, JitCompileEvent, JitHitEvent,
                 AnalysisEvent, TraceRecordEvent, TraceCompileEvent,
-                TraceDeoptEvent, BatchEvent, ServeJobEvent, ServeShedEvent,
-                ServeWorkerEvent, SanitizeFlagEvent, RangeAnalysisEvent)
+                TraceDeoptEvent, BatchEvent, SanitizeFlagEvent,
+                RangeAnalysisEvent)
 }
 
 

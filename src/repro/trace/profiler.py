@@ -34,9 +34,6 @@ from repro.trace.events import (
     RangeAnalysisEvent,
     RunMetaEvent,
     SanitizeFlagEvent,
-    ServeJobEvent,
-    ServeShedEvent,
-    ServeWorkerEvent,
     TraceCompileEvent,
     TraceDeoptEvent,
     TraceEvent,
@@ -129,14 +126,6 @@ class ProfilerSink:
         # interval-range pass summaries that exempted sites from checking
         self.divergences: dict[int, DivergenceStats] = {}
         self.range_analyses: list[RangeAnalysisEvent] = []
-        # serving tier: per-outcome job counts, shed/worker accounting,
-        # and the submit-to-completion latency population
-        self.serve_outcomes: Counter = Counter()
-        self.serve_sheds: Counter = Counter()
-        self.serve_worker_actions: Counter = Counter()
-        self.serve_latencies_ms: list[float] = []
-        self.serve_cached = 0
-        self.serve_retries = 0
         self.events_seen = 0
 
     # ------------------------------------------------------------------ #
@@ -196,16 +185,6 @@ class ProfilerSink:
         elif type(event) is TraceRecordEvent:
             if not event.ok:
                 self._loop(event.header).record_aborts += 1
-        elif type(event) is ServeJobEvent:
-            self.serve_outcomes[event.outcome] += 1
-            self.serve_cached += event.cached
-            self.serve_retries += event.retries
-            if event.outcome != "rejected":
-                self.serve_latencies_ms.append(event.wall_ms)
-        elif type(event) is ServeShedEvent:
-            self.serve_sheds[event.reason] += 1
-        elif type(event) is ServeWorkerEvent:
-            self.serve_worker_actions[event.action] += 1
         elif type(event) is CacheMissEvent:
             self.cache_misses[event.stage] += 1
         elif type(event) is SanitizeFlagEvent:
@@ -271,26 +250,6 @@ class ProfilerSink:
             "never_trapped": [(a, inventory[a]) for a in never],
             "fraction": (sum(1 for a in inventory if a in trapped) / n
                          if n else 0.0),
-        }
-
-    def serve_summary(self) -> dict:
-        """Serving-tier aggregate: jobs by outcome, sheds, latencies."""
-        lats = sorted(self.serve_latencies_ms)
-
-        def pct(p: float) -> float:
-            if not lats:
-                return 0.0
-            return lats[min(len(lats) - 1, int(p * len(lats)))]
-
-        return {
-            "jobs": sum(self.serve_outcomes.values()),
-            "outcomes": dict(self.serve_outcomes),
-            "sheds": sum(self.serve_sheds.values()),
-            "cached": self.serve_cached,
-            "retries": self.serve_retries,
-            "worker_actions": dict(self.serve_worker_actions),
-            "p50_ms": pct(0.50),
-            "p99_ms": pct(0.99),
         }
 
     def gc_summary(self) -> dict:
@@ -436,27 +395,6 @@ class ProfilerSink:
                     f"  {lp.header:#10x} {lp.mode or '-':5s} {lp.length:4d} "
                     f"{lp.compiles:8d} {lp.hits:10d} {lp.deopts:7d} "
                     f"{100 * lp.deopt_fraction:6.1f}%  {rs}")
-        if self.serve_outcomes or self.serve_worker_actions:
-            sv = self.serve_summary()
-            out.append("")
-            parts = ", ".join(f"{k}×{v}"
-                              for k, v in self.serve_outcomes.most_common())
-            out.append(f"serving tier: {sv['jobs']} jobs ({parts}), "
-                       f"{sv['cached']} cache hits, "
-                       f"{sv['retries']} retries, {sv['sheds']} sheds")
-            if self.serve_latencies_ms:
-                out.append(f"  latency: p50 {sv['p50_ms']:.1f}ms "
-                           f"p99 {sv['p99_ms']:.1f}ms "
-                           f"over {len(self.serve_latencies_ms)} jobs")
-            if self.serve_sheds:
-                shed = ", ".join(f"{k}×{v}"
-                                 for k, v in self.serve_sheds.most_common())
-                out.append(f"  sheds by reason: {shed}")
-            if self.serve_worker_actions:
-                wk = ", ".join(
-                    f"{k}×{v}"
-                    for k, v in self.serve_worker_actions.most_common())
-                out.append(f"  worker pool: {wk}")
         if self.extern_calls:
             parts = ", ".join(
                 f"{name}×{n} ({self.extern_cycles[name]:.0f}cy)"

@@ -1,8 +1,10 @@
 """Fault-injection subsystem: plans, injectors, typed errors, crash
 reports, and the graceful-degradation ladder."""
 
+import io
 import json
 import pickle
+import threading
 
 import pytest
 
@@ -290,3 +292,42 @@ class TestCrashReport:
         records = build_crash_report(ValueError("boom"), label="bare")
         assert records == [{"kind": "crash", "error": "ValueError",
                             "message": "boom", "label": "bare"}]
+
+    def test_untagged_by_default(self):
+        records = build_crash_report(RuntimeError("boom"))
+        assert set(records[0]) == {"kind", "error", "message", "label"}
+
+    def test_append_mode_accumulates(self, tmp_path):
+        path = tmp_path / "crash.ndjson"
+        r1 = build_crash_report(RuntimeError("a"), label="a")
+        r2 = build_crash_report(RuntimeError("b"), label="b")
+        write_crash_report(path, r1, append=True, fsync=True)
+        write_crash_report(path, r2, append=True, fsync=True)
+        lines = [json.loads(x) for x in
+                 path.read_text().strip().splitlines()]
+        assert [rec["label"] for rec in lines] == ["a", "b"]
+
+    def test_concurrent_appends_keep_lines_whole(self, tmp_path):
+        path = tmp_path / "crash.ndjson"
+        lock = threading.Lock()
+
+        def writer(i):
+            recs = build_crash_report(RuntimeError(f"e{i}"), label=f"w{i}")
+            with lock:
+                write_crash_report(path, recs, append=True, fsync=True)
+
+        threads = [threading.Thread(target=writer, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        lines = path.read_text().strip().splitlines()
+        parsed = [json.loads(x) for x in lines]  # every line valid JSON
+        assert {rec["label"] for rec in parsed} == {f"w{i}" for i in range(8)}
+
+    def test_file_object_target(self):
+        buf = io.StringIO()
+        write_crash_report(buf, build_crash_report(RuntimeError("x")),
+                           fsync=True)
+        assert buf.getvalue().strip()

@@ -222,7 +222,7 @@ class TrapSiteJIT:
             m.fp_instr_count += 1
             if not (is_box(a) or is_box(b)):
                 (zf, pf, cf), fl = fpu_fn(a, b)
-                if not record(fl):
+                if not (fl and record(fl)):
                     regs.zf, regs.pf, regs.cf = zf, pf, cf
                     regs.of = 0
                     regs.sf = 0
@@ -424,7 +424,7 @@ class TrapSiteJIT:
                             or (b & _EXP) == _EXP and not b & _QBIT
                             and b & _PAY):
                         r, fl = fpu_fn(a) if unary else fpu_fn(a, b)
-                        if not record(fl):
+                        if not (fl and record(fl)):
                             # no FP event: identical to an untrapped
                             # execution
                             sbits = r & _MASK64

@@ -5,13 +5,13 @@ This package implements the "hardware FPU" of the simulated machine:
 * :mod:`repro.ieee.bits` — pure bit manipulation of binary64/binary32
   values (pack/unpack, classification, NaN taxonomy, decomposition into
   integer significand x power of two).
-* :mod:`repro.ieee.exactness` — *exact* predicates answering "did this
-  operation round?" using integer significand arithmetic.  These drive
-  the MXCSR Precision (inexact) flag, which in turn drives every FPVM
-  trap, so they must be exact rather than heuristic.
 * :mod:`repro.ieee.softfloat` — the operation set of the simulated SSE
   unit: each op maps operand bit patterns to ``(result_bits, flags)``
-  with x64-faithful special-value semantics.
+  with x64-faithful special-value semantics.  Each op answers "did this
+  operation round?" with one exact value-equality check (integer
+  significand arithmetic, or 2Sum for sums).  That answer is the MXCSR
+  Precision (inexact) flag, which drives every FPVM trap, so it must be
+  exact rather than heuristic.
 
 Flag bit positions match the x64 MXCSR register so the machine layer
 can use them directly.

@@ -199,7 +199,7 @@ def compose64(sign: int, mant: int, exp: int) -> int:
     """Inverse of :func:`decompose64` for exactly-representable values.
 
     Requires that ``mant * 2**exp`` be representable without rounding
-    (used by tests and the exactness engine, not the arithmetic path).
+    (used by tests, not the arithmetic path).
     """
     if mant == 0:
         return F64_SIGN_BIT if sign else 0

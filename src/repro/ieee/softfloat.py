@@ -9,9 +9,9 @@ MXCSR layout of :class:`Flags`.  Semantics follow the x64 SSE unit:
   Invalid.  MIN/MAX forward src2 and raise Invalid on *any* NaN.
 * Invalid also on inf-inf, 0*inf, 0/0, inf/inf, sqrt(negative).
 * Denormal is a pre-computation flag raised by denormal operands.
-* Precision (inexact) is computed *exactly* via
-  :mod:`repro.ieee.exactness` — this is the predicate that makes FPVM
-  trap on every rounding instruction.
+* Precision (inexact) is decided *exactly*: it is the predicate that
+  makes FPVM trap on every rounding instruction, so a heuristic would
+  change which instructions trap.
 * Overflow / Underflow are detected on the rounded result (underflow
   requires inexactness, matching masked-response hardware behaviour).
 
@@ -19,16 +19,31 @@ The value itself is computed with the host's binary64 hardware (Python
 floats round-to-nearest-even, identical to the simulated machine's
 default rounding mode), and with NumPy ``float32`` for binary32 ops so
 no double rounding occurs.
+
+Exactness is one value-equality check per operation.  A finite binary64
+pattern with biased exponent field ``E`` and fraction ``f`` has the
+value ``v(x) = m * 2**(E' - 1075)``, where ``m`` is ``f`` plus the hidden
+bit when ``E != 0`` and ``E'`` is ``E``, or 1 when ``E`` is 0 — one form
+for normals, subnormals and zeros alike.  With ``r`` the host result:
+
+* product:  ``ma*mb * 2**(Ea+Eb-1075-Er) == mr`` (sqrt: ``r*r == a``);
+* quotient: ``ma * 2**(Ea+1075-Er-Eb) == mr*mb``;
+
+each side an integer, shifting whichever side has the non-negative
+exponent.  A sum is exact iff its 2Sum error term is zero.  A binary32
+value is an exact binary64, so the binary32 ops use the same checks on
+the widened values.  Each op classifies NaN/Inf operands with one
+exponent-field test; the special-value ladders run only behind it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from repro.ieee import bits as B
-from repro.ieee import exactness as X
 
 
 class Flags:
@@ -54,8 +69,79 @@ class Flags:
 
 
 _I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 _I64_INDEFINITE = 1 << 63  # x64 integer indefinite value
 _I32_INDEFINITE = 1 << 31
+_M64 = 0xFFFF_FFFF_FFFF_FFFF
+
+_EXP = B.F64_EXP_MASK
+_FRAC = B.F64_FRAC_MASK
+_ABS = _EXP | _FRAC
+#: 1023 + 52: ``v(x) = m * 2**(E' - _BIAS)``
+_BIAS = 1075
+
+_IE, _DE, _PE = Flags.IE, Flags.DE, Flags.PE
+_OE_PE = Flags.OE | Flags.PE
+_UE_PE = Flags.UE | Flags.PE
+
+_pack_d = struct.Struct("<d").pack
+_unpack_d = struct.Struct("<d").unpack
+_pack_q = struct.Struct("<Q").pack
+_unpack_q = struct.Struct("<Q").unpack
+_pack_qq = struct.Struct("<QQ").pack
+_unpack_dd = struct.Struct("<dd").unpack
+
+
+# --------------------------------------------------------------------------- #
+# exactness: one value-equality check per operation, on finite patterns       #
+# --------------------------------------------------------------------------- #
+
+def _sum_exact(fa: float, fb: float, r: float) -> bool:
+    """``fa + fb == r`` exactly, where ``r`` is the binary64 ``fa + fb``.
+
+    2Sum: when no step overflows, ``err`` is the exact rounding error
+    ``fa + fb - r`` (Boldo, Graillat & Muller, TOMS 2017).  An exact sum
+    makes every step exact, so ``err`` is 0 and nothing overflows; an
+    inexact one leaves ``err`` nonzero, or non-finite if a step
+    overflows — never 0.
+    """
+    s = r - fa
+    return (fa - (r - s)) + (fb - s) == 0.0
+
+
+def _product_exact(a: int, b: int, r: int) -> bool:
+    """``v(a) * v(b) == v(r)`` exactly (the host gives ``r`` its sign)."""
+    ea = (a >> 52) & 0x7FF
+    ma = a & _FRAC | (ea != 0) << 52
+    eb = (b >> 52) & 0x7FF
+    mb = b & _FRAC | (eb != 0) << 52
+    er = (r >> 52) & 0x7FF
+    mr = r & _FRAC | (er != 0) << 52
+    d = (ea or 1) + (eb or 1) - _BIAS - (er or 1)
+    if d >= 0:
+        return ma * mb << d == mr
+    return ma * mb == mr << -d
+
+
+def _quotient_exact(a: int, b: int, r: int) -> bool:
+    """``v(a) / v(b) == v(r)`` exactly, ``b`` nonzero: ``a == r*b``."""
+    ea = (a >> 52) & 0x7FF
+    ma = a & _FRAC | (ea != 0) << 52
+    eb = (b >> 52) & 0x7FF
+    mb = b & _FRAC | (eb != 0) << 52
+    er = (r >> 52) & 0x7FF
+    mr = r & _FRAC | (er != 0) << 52
+    d = (ea or 1) + _BIAS - (er or 1) - (eb or 1)
+    if d >= 0:
+        return ma << d == mr * mb
+    return ma == mr * mb << -d
+
+
+def _signed_mant_exp(x: int) -> tuple[int, int]:
+    """Finite pattern -> ``(signed m, E' - 1075)``: ``v(x) = m * 2**e``."""
+    e = (x >> 52) & 0x7FF
+    m = x & _FRAC | (e != 0) << 52
+    return (-m if x >> 63 else m), (e or 1) - _BIAS
 
 
 def _denormal_flag(*ops: int) -> int:
@@ -84,94 +170,100 @@ class SoftFPU:
     # ----------------------------------------------------------------- #
 
     def add64(self, a: int, b: int) -> tuple[int, int]:
-        if B.is_nan64(a) or B.is_nan64(b):
-            return _nan_arith_result(a, b)
-        fa, fb = B.bits_to_f64(a), B.bits_to_f64(b)
-        if B.is_inf64(a) or B.is_inf64(b):
+        if (a & _EXP) == _EXP or (b & _EXP) == _EXP:
+            if B.is_nan64(a) or B.is_nan64(b):
+                return _nan_arith_result(a, b)
             if B.is_inf64(a) and B.is_inf64(b) and (a ^ b) & B.F64_SIGN_BIT:
                 return B.F64_DEFAULT_QNAN, Flags.IE
-            return B.f64_to_bits(fa + fb), _denormal_flag(a, b)
-        flags = _denormal_flag(a, b)
+            r = B.bits_to_f64(a) + B.bits_to_f64(b)
+            return B.f64_to_bits(r), _denormal_flag(a, b)
+        fa, fb = _unpack_dd(_pack_qq(a, b))
         r = fa + fb
-        rb = B.f64_to_bits(r)
-        return rb, flags | self._post_flags_sum(a, b, rb)
+        rb = _unpack_q(_pack_d(r))[0]
+        fl = _DE if (not a & _EXP and a & _FRAC or not b & _EXP and b & _FRAC) else 0
+        if (rb & _EXP) == _EXP:
+            return rb, fl | _OE_PE
+        if _sum_exact(fa, fb, r):
+            return rb, fl
+        return rb, fl | (_PE if rb & _EXP else _UE_PE)
 
     def sub64(self, a: int, b: int) -> tuple[int, int]:
-        if B.is_nan64(a) or B.is_nan64(b):
-            return _nan_arith_result(a, b)
-        if B.is_inf64(a) or B.is_inf64(b):
+        if (a & _EXP) == _EXP or (b & _EXP) == _EXP:
+            if B.is_nan64(a) or B.is_nan64(b):
+                return _nan_arith_result(a, b)
             if B.is_inf64(a) and B.is_inf64(b) and \
                     not ((a ^ b) & B.F64_SIGN_BIT):
                 return B.F64_DEFAULT_QNAN, Flags.IE
             r = B.bits_to_f64(a) - B.bits_to_f64(b)
             return B.f64_to_bits(r), _denormal_flag(a, b)
-        flags = _denormal_flag(a, b)
-        r = B.bits_to_f64(a) - B.bits_to_f64(b)
-        rb = B.f64_to_bits(r)
-        return rb, flags | self._post_flags_sum(a, B.neg64(b), rb)
+        fa, fb = _unpack_dd(_pack_qq(a, b))
+        r = fa - fb
+        rb = _unpack_q(_pack_d(r))[0]
+        fl = _DE if (not a & _EXP and a & _FRAC or not b & _EXP and b & _FRAC) else 0
+        if (rb & _EXP) == _EXP:
+            return rb, fl | _OE_PE
+        if _sum_exact(fa, -fb, r):
+            return rb, fl
+        return rb, fl | (_PE if rb & _EXP else _UE_PE)
 
     def mul64(self, a: int, b: int) -> tuple[int, int]:
-        if B.is_nan64(a) or B.is_nan64(b):
-            return _nan_arith_result(a, b)
-        inf_a, inf_b = B.is_inf64(a), B.is_inf64(b)
-        if (inf_a and B.is_zero64(b)) or (inf_b and B.is_zero64(a)):
-            return B.F64_DEFAULT_QNAN, Flags.IE
-        flags = _denormal_flag(a, b)
-        r = B.bits_to_f64(a) * B.bits_to_f64(b)
-        rb = B.f64_to_bits(r)
-        if inf_a or inf_b:
-            return rb, flags
-        if B.is_inf64(rb):
-            return rb, flags | Flags.OE | Flags.PE
-        extra = 0
-        if not X.product_is_exact(a, b, rb):
-            extra |= Flags.PE
-            if B.is_denormal64(rb) or B.is_zero64(rb):
-                extra |= Flags.UE
-        return rb, flags | extra
+        if (a & _EXP) == _EXP or (b & _EXP) == _EXP:
+            if B.is_nan64(a) or B.is_nan64(b):
+                return _nan_arith_result(a, b)
+            if (B.is_inf64(a) and B.is_zero64(b)) or \
+                    (B.is_inf64(b) and B.is_zero64(a)):
+                return B.F64_DEFAULT_QNAN, Flags.IE
+            r = B.bits_to_f64(a) * B.bits_to_f64(b)
+            return B.f64_to_bits(r), _denormal_flag(a, b)
+        fa, fb = _unpack_dd(_pack_qq(a, b))
+        rb = _unpack_q(_pack_d(fa * fb))[0]
+        fl = _DE if (not a & _EXP and a & _FRAC or not b & _EXP and b & _FRAC) else 0
+        if (rb & _EXP) == _EXP:
+            return rb, fl | _OE_PE
+        if _product_exact(a, b, rb):
+            return rb, fl
+        return rb, fl | (_PE if rb & _EXP else _UE_PE)
 
     def div64(self, a: int, b: int) -> tuple[int, int]:
-        if B.is_nan64(a) or B.is_nan64(b):
-            return _nan_arith_result(a, b)
-        inf_a, inf_b = B.is_inf64(a), B.is_inf64(b)
-        zero_a, zero_b = B.is_zero64(a), B.is_zero64(b)
-        if (inf_a and inf_b) or (zero_a and zero_b):
-            return B.F64_DEFAULT_QNAN, Flags.IE
-        flags = _denormal_flag(a, b)
-        sign = (a ^ b) & B.F64_SIGN_BIT
-        if zero_b:  # finite nonzero / 0 -> ZE, signed inf
-            return sign | B.F64_POS_INF, flags | Flags.ZE
-        if inf_a:
-            return sign | B.F64_POS_INF, flags
-        if inf_b or zero_a:
-            return sign, flags  # signed zero
-        r = B.bits_to_f64(a) / B.bits_to_f64(b)
-        rb = B.f64_to_bits(r)
-        if B.is_inf64(rb):
-            return rb, flags | Flags.OE | Flags.PE
-        extra = 0
-        if not X.quotient_is_exact(a, b, rb):
-            extra |= Flags.PE
-            if B.is_denormal64(rb) or B.is_zero64(rb):
-                extra |= Flags.UE
-        return rb, flags | extra
+        if (a & _EXP) == _EXP or (b & _EXP) == _EXP or \
+                not a & _ABS or not b & _ABS:
+            if B.is_nan64(a) or B.is_nan64(b):
+                return _nan_arith_result(a, b)
+            inf_a, inf_b = B.is_inf64(a), B.is_inf64(b)
+            zero_a, zero_b = B.is_zero64(a), B.is_zero64(b)
+            if (inf_a and inf_b) or (zero_a and zero_b):
+                return B.F64_DEFAULT_QNAN, Flags.IE
+            flags = _denormal_flag(a, b)
+            sign = (a ^ b) & B.F64_SIGN_BIT
+            if zero_b:  # nonzero / 0 -> ZE, signed inf
+                return sign | B.F64_POS_INF, flags | Flags.ZE
+            if inf_a:
+                return sign | B.F64_POS_INF, flags
+            return sign, flags  # inf_b or zero_a: signed zero
+        fa, fb = _unpack_dd(_pack_qq(a, b))
+        rb = _unpack_q(_pack_d(fa / fb))[0]
+        fl = _DE if (not a & _EXP and a & _FRAC or not b & _EXP and b & _FRAC) else 0
+        if (rb & _EXP) == _EXP:
+            return rb, fl | _OE_PE
+        if _quotient_exact(a, b, rb):
+            return rb, fl
+        return rb, fl | (_PE if rb & _EXP else _UE_PE)
 
     def sqrt64(self, a: int) -> tuple[int, int]:
-        if B.is_nan64(a):
-            f = Flags.IE if B.is_snan64(a) else 0
-            return B.quiet64(a), f
-        if B.is_zero64(a):
-            return a, 0  # sqrt(+-0) = +-0 exactly
-        if a & B.F64_SIGN_BIT:
-            return B.F64_DEFAULT_QNAN, Flags.IE
-        if B.is_inf64(a):
-            return a, 0
-        flags = _denormal_flag(a)
-        r = math.sqrt(B.bits_to_f64(a))
-        rb = B.f64_to_bits(r)
-        if not X.sqrt_is_exact(a, rb):
-            flags |= Flags.PE
-        return rb, flags
+        if (a & _EXP) == _EXP or not a & _ABS or a >> 63:
+            if B.is_nan64(a):
+                f = Flags.IE if B.is_snan64(a) else 0
+                return B.quiet64(a), f
+            if B.is_zero64(a):
+                return a, 0  # sqrt(+-0) = +-0 exactly
+            if a & B.F64_SIGN_BIT:
+                return B.F64_DEFAULT_QNAN, Flags.IE
+            return a, 0  # +inf
+        rb = _unpack_q(_pack_d(math.sqrt(_unpack_d(_pack_q(a))[0])))[0]
+        fl = 0 if a & _EXP else _DE
+        if _product_exact(rb, rb, a):  # r * r == a
+            return rb, fl
+        return rb, fl | _PE
 
     def fma64(self, a: int, b: int, c: int) -> tuple[int, int]:
         """Fused multiply-add ``a*b + c`` with a single rounding."""
@@ -192,9 +284,9 @@ class SoftFPU:
                 return sp | B.F64_POS_INF, flags
             return c, flags
         # exact integer evaluation then a single binary64 rounding
-        sa, ea = X._signed_value(a)
-        sb, eb = X._signed_value(b)
-        sc, ec = X._signed_value(c)
+        sa, ea = _signed_mant_exp(a)
+        sb, eb = _signed_mant_exp(b)
+        sc, ec = _signed_mant_exp(c)
         ep = ea + eb
         e = min(ep, ec)
         total = ((sa * sb) << (ep - e)) + (sc << (ec - e))
@@ -213,9 +305,12 @@ class SoftFPU:
         rb = B.f64_to_bits(r)
         if B.is_inf64(rb):
             return rb, flags | Flags.OE | Flags.PE
-        if not X.fma_is_exact(a, b, c, rb):
+        sr, er = _signed_mant_exp(rb)
+        exact = (total << (e - er) == sr if e >= er
+                 else total == sr << (er - e))
+        if not exact:
             flags |= Flags.PE
-            if B.is_denormal64(rb) or B.is_zero64(rb):
+            if not rb & _EXP:
                 flags |= Flags.UE
         return rb, flags
 
@@ -254,43 +349,32 @@ class SoftFPU:
             return b, flags
         return (a if fa > fb else b), flags
 
-    @staticmethod
-    def _post_flags_sum(a: int, b: int, rb: int) -> int:
-        """OE/UE/PE for an addition whose operands are finite."""
-        if B.is_inf64(rb):
-            return Flags.OE | Flags.PE
-        flags = 0
-        if not X.sum_is_exact(a, b, rb):
-            flags |= Flags.PE
-            if B.is_denormal64(rb) or B.is_zero64(rb):
-                flags |= Flags.UE
-        return flags
-
     # ----------------------------------------------------------------- #
     # comparisons                                                        #
     # ----------------------------------------------------------------- #
 
     def ucomi64(self, a: int, b: int) -> tuple[tuple[int, int, int], int]:
         """UCOMISD: returns ((zf, pf, cf), flags); IE only on sNaN."""
-        if B.is_nan64(a) or B.is_nan64(b):
+        if (a & _EXP) == _EXP and a & _FRAC or (b & _EXP) == _EXP and b & _FRAC:
             f = Flags.IE if (B.is_snan64(a) or B.is_snan64(b)) else 0
             return (1, 1, 1), f
-        return self._compare_rflags(a, b), 0
+        fa, fb = _unpack_dd(_pack_qq(a, b))
+        if fa > fb:
+            return (0, 0, 0), 0
+        if fa < fb:
+            return (0, 0, 1), 0
+        return (1, 0, 0), 0
 
     def comi64(self, a: int, b: int) -> tuple[tuple[int, int, int], int]:
         """COMISD: like UCOMISD but IE on *any* NaN."""
-        if B.is_nan64(a) or B.is_nan64(b):
+        if (a & _EXP) == _EXP and a & _FRAC or (b & _EXP) == _EXP and b & _FRAC:
             return (1, 1, 1), Flags.IE
-        return self._compare_rflags(a, b), 0
-
-    @staticmethod
-    def _compare_rflags(a: int, b: int) -> tuple[int, int, int]:
-        fa, fb = B.bits_to_f64(a), B.bits_to_f64(b)
+        fa, fb = _unpack_dd(_pack_qq(a, b))
         if fa > fb:
-            return (0, 0, 0)
+            return (0, 0, 0), 0
         if fa < fb:
-            return (0, 0, 1)
-        return (1, 0, 0)
+            return (0, 0, 1), 0
+        return (1, 0, 0), 0
 
     def cmp64(self, a: int, b: int, predicate: int) -> tuple[int, int]:
         """CMPSD imm8 predicate -> all-ones / all-zeros u64 mask.
@@ -329,12 +413,12 @@ class SoftFPU:
     # ----------------------------------------------------------------- #
 
     def cvt_i64_to_f64(self, i: int) -> tuple[int, int]:
-        """CVTSI2SD from a signed 64-bit integer."""
+        """CVTSI2SD from a signed 64-bit integer; an int and a float
+        compare exactly, so PE is ``float(i) != i``."""
         if i >= 1 << 63:
             i -= 1 << 64
         r = float(i)
-        flags = 0 if X.int_fits_f64(i) else Flags.PE
-        return B.f64_to_bits(r), flags
+        return _unpack_q(_pack_d(r))[0], (_PE if r != i else 0)
 
     def cvt_i32_to_f64(self, i: int) -> tuple[int, int]:
         if i >= 1 << 31:
@@ -343,26 +427,22 @@ class SoftFPU:
 
     def cvt_f64_to_i64(self, a: int, truncate: bool) -> tuple[int, int]:
         """CVT(T)SD2SI to 64-bit; out-of-range/NaN -> indefinite + IE."""
-        if B.is_nan64(a) or B.is_inf64(a):
-            return _I64_INDEFINITE, Flags.IE
-        f = B.bits_to_f64(a)
+        if (a & _EXP) == _EXP:
+            return _I64_INDEFINITE, _IE
+        f = _unpack_d(_pack_q(a))[0]
         v = math.trunc(f) if truncate else _round_half_even(f)
-        if not (_I64_MIN <= v <= (1 << 63) - 1):
-            return _I64_INDEFINITE, Flags.IE
-        flags = 0 if float(v) == f or v == f else Flags.PE
-        if v != f:
-            flags = Flags.PE
-        return v & 0xFFFF_FFFF_FFFF_FFFF, flags
+        if not _I64_MIN <= v <= _I64_MAX:
+            return _I64_INDEFINITE, _IE
+        return v & _M64, (_PE if v != f else 0)
 
     def cvt_f64_to_i32(self, a: int, truncate: bool) -> tuple[int, int]:
-        if B.is_nan64(a) or B.is_inf64(a):
-            return _I32_INDEFINITE, Flags.IE
-        f = B.bits_to_f64(a)
+        if (a & _EXP) == _EXP:
+            return _I32_INDEFINITE, _IE
+        f = _unpack_d(_pack_q(a))[0]
         v = math.trunc(f) if truncate else _round_half_even(f)
-        if not (-(1 << 31) <= v <= (1 << 31) - 1):
-            return _I32_INDEFINITE, Flags.IE
-        flags = Flags.PE if v != f else 0
-        return v & 0xFFFF_FFFF, flags
+        if not -(1 << 31) <= v <= (1 << 31) - 1:
+            return _I32_INDEFINITE, _IE
+        return v & 0xFFFF_FFFF, (_PE if v != f else 0)
 
     def cvt_f64_to_f32(self, a: int) -> tuple[int, int]:
         """CVTSD2SS; result is a u32 bit pattern."""
@@ -451,20 +531,23 @@ class SoftFPU:
         r32 = B.f32_to_bits(float(r))
         if B.is_inf32(r32) and not (B.is_inf32(a32) or B.is_inf32(b32)):
             return r32, flags | Flags.OE | Flags.PE
-        # exactness: all f32 are exact f64; compare in f64 domain
-        a64 = B.f64_to_bits(B.bits_to_f32(a32))
-        b64 = B.f64_to_bits(B.bits_to_f32(b32))
-        r64 = B.f64_to_bits(float(r))
-        if B.is_inf32(a32) or B.is_inf32(b32) or B.is_inf32(r32):
+        if B.is_inf32(a32) or B.is_inf32(b32):
             return r32, flags
+        # a binary32 value is an exact binary64: the binary64 checks
+        # decide; a sum is exact iff its binary64 sum is exact and equal
+        wa, wb, wr = float(fa), float(fb), float(r)
         if op == "add":
-            exact = X.sum_is_exact(a64, b64, r64)
+            s = wa + wb
+            exact = s == wr and _sum_exact(wa, wb, s)
         elif op == "sub":
-            exact = X.sum_is_exact(a64, B.neg64(b64), r64)
+            s = wa - wb
+            exact = s == wr and _sum_exact(wa, -wb, s)
         elif op == "mul":
-            exact = X.product_is_exact(a64, b64, r64)
+            exact = _product_exact(B.f64_to_bits(wa), B.f64_to_bits(wb),
+                                   B.f64_to_bits(wr))
         else:
-            exact = X.quotient_is_exact(a64, b64, r64)
+            exact = _quotient_exact(B.f64_to_bits(wa), B.f64_to_bits(wb),
+                                    B.f64_to_bits(wr))
         if not exact:
             flags |= Flags.PE
             if B.is_denormal32(r32) or (

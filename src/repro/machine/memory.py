@@ -31,16 +31,19 @@ class Segment:
     def end(self) -> int:
         return self.base + len(self.data)
 
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.base <= addr and addr + size <= self.end
-
 
 class Memory:
-    """Segmented memory with bounds- and permission-checked access."""
+    """Segmented memory with bounds- and permission-checked access.
+
+    ``read``/``write`` look the segment up in a 2-entry MRU cache
+    (``_last``, then ``_prev``): programs alternate between data and
+    stack, which a single entry would miss on every switch.
+    """
 
     def __init__(self) -> None:
         self.segments: list[Segment] = []
-        self._last: Segment | None = None  # 1-entry segment cache
+        self._last: Segment | None = None  # most recently used segment
+        self._prev: Segment | None = None  # the one used before it
 
     # ------------------------------------------------------------------ #
     def map(self, name: str, base: int, size: int, *,
@@ -60,12 +63,14 @@ class Memory:
         return seg
 
     def segment_for(self, addr: int, size: int = 1) -> Segment:
-        seg = self._last
-        if seg is not None and seg.contains(addr, size):
-            return seg
+        """The segment holding ``[addr, addr + size)``; it becomes the
+        most recently used one."""
         for seg in self.segments:
-            if seg.contains(addr, size):
-                self._last = seg
+            base = seg.base
+            if base <= addr and addr + size - base <= len(seg.data):
+                if seg is not self._last:
+                    self._prev = self._last
+                    self._last = seg
                 return seg
         raise MemoryFault(addr, size)
 
@@ -81,10 +86,15 @@ class Memory:
 
     def read(self, addr: int, size: int) -> int:
         """Read ``size`` bytes little-endian as an unsigned integer."""
-        # fast path: inline the 1-entry segment-cache hit
         seg = self._last
         if seg is None or addr < seg.base or addr + size - seg.base > len(seg.data):
-            seg = self.segment_for(addr, size)
+            seg = self._prev
+            if seg is None or addr < seg.base or \
+                    addr + size - seg.base > len(seg.data):
+                seg = self.segment_for(addr, size)
+            else:
+                self._prev = self._last
+                self._last = seg
         off = addr - seg.base
         return int.from_bytes(seg.data[off : off + size], "little")
 
@@ -92,7 +102,13 @@ class Memory:
         """Write ``size`` low bytes of ``value`` little-endian."""
         seg = self._last
         if seg is None or addr < seg.base or addr + size - seg.base > len(seg.data):
-            seg = self.segment_for(addr, size)
+            seg = self._prev
+            if seg is None or addr < seg.base or \
+                    addr + size - seg.base > len(seg.data):
+                seg = self.segment_for(addr, size)
+            else:
+                self._prev = self._last
+                self._last = seg
         if not seg.writable:
             raise MemoryFault(addr, size, "write to read-only segment")
         off = addr - seg.base

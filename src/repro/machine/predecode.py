@@ -1012,6 +1012,8 @@ def _make_fpvm_patch(m, ins):
 # --------------------------------------------------------------------------- #
 # SSE — trap-capable ops keep the exact _fp_event contract                     #
 # --------------------------------------------------------------------------- #
+# A clean op (flags 0) skips the call: ``_fp_event`` would record nothing and
+# deliver nothing.
 
 def _make_f_scalar(m, ins):
     regs = m.regs
@@ -1023,7 +1025,7 @@ def _make_f_scalar(m, ins):
 
     def body():
         r, fl = fn(lanes[0], rs())
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = r & _MASK64
         regs.rip = nxt
@@ -1040,7 +1042,7 @@ def _make_f_scalar32(m, ins):
 
     def body():
         r, fl = fn(lanes[0] & _M32, rs())
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = ((lanes[0] & ~_M32) | r) & _MASK64
         regs.rip = nxt
@@ -1059,7 +1061,8 @@ def _make_f_packed(m, ins):
         blo, bhi = rs()
         rlo, flo = fn(lanes[0], blo)
         rhi, fhi = fn(lanes[1], bhi)
-        if fp_event(ins, flo | fhi):
+        fl = flo | fhi
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = rlo & _MASK64
         lanes[1] = rhi & _MASK64
@@ -1079,7 +1082,8 @@ def _make_sqrtpd(m, ins):
         blo, bhi = rs()
         rlo, flo = fn(blo)
         rhi, fhi = fn(bhi)
-        if fp_event(ins, flo | fhi):
+        fl = flo | fhi
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = rlo & _MASK64
         lanes[1] = rhi & _MASK64
@@ -1099,7 +1103,7 @@ def _make_fmaddsd(m, ins):
 
     def body():
         r, fl = fn(ra(), rb(), lanes[0])
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = r & _MASK64
         regs.rip = nxt
@@ -1116,7 +1120,7 @@ def _make_to_lo(m, ins, fn, rs):
 
     def body():
         r, fl = fn(rs())
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = r & _MASK64
         regs.rip = nxt
@@ -1156,7 +1160,7 @@ def _make_cmpsd(m, ins):
 
     def body():
         r, fl = fn(lanes[0], rs(), pred)
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = r & _MASK64
         regs.rip = nxt
@@ -1176,7 +1180,7 @@ def _make_cvtsd2si(m, ins):
 
     def body():
         r, fl = fn(rs(), truncate)
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         wd(r)
         regs.rip = nxt
@@ -1193,7 +1197,7 @@ def _make_cvtsd2ss(m, ins):
 
     def body():
         r32, fl = fn(rs())
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         lanes[0] = ((lanes[0] & ~_M32) | r32) & _MASK64
         regs.rip = nxt
@@ -1210,7 +1214,7 @@ def _make_ucomi(m, ins):
 
     def body():
         (zf, pf, cf), fl = fn(lanes[0], rs())
-        if fp_event(ins, fl):
+        if fl and fp_event(ins, fl):
             return
         regs.zf, regs.pf, regs.cf = zf, pf, cf
         regs.of = 0

@@ -66,6 +66,82 @@ class TestMemory:
         assert m.read_bytes(0, 4) == b"\x01\x02\x03\x04"
 
 
+class TestSegmentCache:
+    """``read``/``write`` keep the two most recently used segments."""
+
+    @staticmethod
+    def _layout():
+        m = Memory()
+        m.map("data", 0x1000, 0x100)
+        m.map("heap", 0x2000, 0x100)
+        m.map("stack", 0x8000, 0x100)
+        m.map("rodata", 0x9000, 0x100, writable=False, data=b"\x07" * 8)
+        return m
+
+    def test_alternating_segments_read_back(self):
+        m = self._layout()
+        addrs = [0x1000, 0x80F8, 0x2010, 0x1008, 0x8000, 0x20F8, 0x10F8]
+        for k in range(50):
+            for i, a in enumerate(addrs):
+                m.write(a, 8, (k << 8) | i)
+            for i, a in enumerate(reversed(addrs)):
+                assert m.read(a, 8) == (k << 8) | (len(addrs) - 1 - i)
+        assert m.read(0x9000, 8) == 0x0707_0707_0707_0707
+
+    def test_two_alternating_segments_skip_the_scan(self, monkeypatch):
+        m = self._layout()
+        m.write(0x1000, 8, 1)
+        m.write(0x8000, 8, 2)
+        calls = []
+        scan = m.segment_for
+        monkeypatch.setattr(m, "segment_for",
+                            lambda *a: calls.append(a) or scan(*a))
+        for _ in range(100):
+            assert m.read(0x1000, 8) == 1
+            m.write(0x8008, 8, 3)
+            assert m.read(0x8000, 8) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("warm", [(), (0x10F0,), (0x10F0, 0x2000),
+                                      (0x2000, 0x10F0)])
+    def test_straddle_and_gap_fault_from_either_slot(self, warm):
+        m = self._layout()
+        for a in warm:  # put data in the first or the second cache slot
+            m.read(a, 8)
+        with pytest.raises(MemoryFault):
+            m.read(0x10FC, 8)  # straddles the end of data
+        with pytest.raises(MemoryFault):
+            m.write(0x10FC, 8, 0)
+        with pytest.raises(MemoryFault):
+            m.read(0x0FFC, 8)  # starts below data
+        with pytest.raises(MemoryFault):
+            m.read(0x1800, 8)  # the gap between data and heap
+        with pytest.raises(MemoryFault):
+            m.write(0x1800, 8, 0)
+        assert m.read(0x10F8, 8) == 0  # the last word of data still reads
+
+    def test_adjacent_segments_do_not_merge(self):
+        m = Memory()
+        m.map("lo", 0x1000, 0x100)
+        m.map("hi", 0x1100, 0x100)
+        m.read(0x1000, 8)
+        m.read(0x1100, 8)  # both segments now cached
+        with pytest.raises(MemoryFault):
+            m.read(0x10FC, 8)
+        with pytest.raises(MemoryFault):
+            m.write(0x10FC, 8, 0)
+
+    @pytest.mark.parametrize("slot", ["last", "prev"])
+    def test_readonly_write_faults_from_either_slot(self, slot):
+        m = self._layout()
+        m.read(0x9000, 8)
+        if slot == "prev":
+            m.read(0x1000, 8)
+        with pytest.raises(MemoryFault):
+            m.write(0x9000, 8, 0)
+        assert m.read(0x9000, 8) == 0x0707_0707_0707_0707
+
+
 class TestRegFile:
     def test_gpr_64(self):
         r = RegFile()

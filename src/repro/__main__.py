@@ -7,7 +7,8 @@
     python -m repro spy program.fpc
     python -m repro analyze program.fpc --json
     python -m repro analyze --registry --validate
-    python -m repro workload lorenz --arith mpfr:200 --trace t.ndjson
+    python -m repro run --workload lorenz --arith mpfr:200 --trace t.ndjson
+    python -m repro sanitize --workload numbugs_cancel
     python -m repro trace summarize t.ndjson
     python -m repro list
 
@@ -167,9 +168,7 @@ def cmd_run(args) -> int:
             session = Session(builder, None, trace=sink, label=label)
         else:
             arith = parse_arith(args.arith)
-            mode = args.mode or ("trap-and-patch" if args.patch_mode
-                                 else "trap-and-emulate")
-            config = FPVMConfig(mode=mode, trace=sink,
+            config = FPVMConfig(mode=args.mode, trace=sink,
                                 jit_threshold=args.jit,
                                 trace_jit_threshold=args.trace_jit)
             session = Session(builder, arith, config=config,
@@ -188,9 +187,7 @@ def cmd_run(args) -> int:
         _print_run(res, f"{label} (native)", args.stats)
     else:
         arith = parse_arith(args.arith)
-        mode = args.mode or ("trap-and-patch" if args.patch_mode
-                             else "trap-and-emulate")
-        config = FPVMConfig(mode=mode, trace=sink,
+        config = FPVMConfig(mode=args.mode, trace=sink,
                             jit_threshold=args.jit,
                             trace_jit_threshold=args.trace_jit)
         with Session(builder, arith, config=config,
@@ -207,11 +204,6 @@ def cmd_run(args) -> int:
         print(f"trace written to {args.trace} ({sink.emitted} events)",
               file=sys.stderr)
     return res.exit_code
-
-
-def cmd_workload(args) -> int:
-    args.workload = args.name
-    return cmd_run(args)
 
 
 def cmd_trace_summarize(args) -> int:
@@ -429,8 +421,7 @@ def cmd_sanitize(args) -> int:
 
     scfg = SanitizeConfig(threshold=args.threshold,
                           precision=args.precision,
-                          exempt=not args.no_exempt,
-                          aggressive=args.exempt_aggressive)
+                          exempt=not args.no_exempt)
     sess = Session(builder, ("sanitize", args.precision),
                    config=FPVMConfig(sanitize=scfg), label=label)
     res = sess.run()
@@ -441,6 +432,7 @@ def cmd_sanitize(args) -> int:
     if args.validate:
         validation = validate_sanitize_exemptions(
             builder, threshold=args.threshold, precision=args.precision)
+        validation.label = label
 
     if args.json:
         doc = {
@@ -473,10 +465,9 @@ def cmd_sanitize(args) -> int:
                   f"{len(rr.checkable)} sites divergence-free "
                   f"({100 * rr.prove_rate:.1f}%), {len(rr.exact)} "
                   f"bit-exact", file=err)
-        if scfg.exempt:
-            mode = "aggressive" if args.exempt_aggressive else "bit-exact"
-            print(f"  exempt executions  : {stats.sanitize_exempt_execs} "
-                  f"({mode} exemption)", file=err)
+        n_exempt = len(sess.range_report.exact) if scfg.exempt else 0
+        print(f"  exempt executions  : {stats.sanitize_exempt_execs} "
+              f"({n_exempt} bit-exact sites exempt)", file=err)
         rows = san.divergence_table(args.top)
         flagged = [s for s in rows if s.flags]
         if flagged:
@@ -494,6 +485,8 @@ def cmd_sanitize(args) -> int:
         if validation is not None:
             print(f"  exemption gate     : {validation.summary()}",
                   file=err)
+            trapped = ", ".join(f"{a:#x}" for a in validation.proven_trapped)
+            print(f"  proven, trapped    : {trapped or 'none'}", file=err)
 
     if validation is not None and not validation.ok:
         return 2
@@ -507,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    # one shared parent so run / workload / chaos expose the same
+    # one shared parent so run and chaos expose the same
     # batching surface with identical help text
     batch_parent = argparse.ArgumentParser(add_help=False)
     bg = batch_parent.add_mutually_exclusive_group()
@@ -520,66 +513,49 @@ def build_parser() -> argparse.ArgumentParser:
                          "max_instructions/max_cycles); implies batched "
                          "execution")
 
-    def add_target(sp, workload_ok=True):
-        if workload_ok:
-            g = sp.add_mutually_exclusive_group(required=True)
-            g.add_argument("program", nargs="?", help="fpc source file")
-            g.add_argument("--workload", choices=sorted(WORKLOADS),
-                           help="built-in benchmark instead of a file")
-            sp.add_argument("--size", default="test",
-                            choices=("test", "bench", "S"))
-        else:
-            sp.add_argument("program", help="fpc source file")
-
-    def add_run_options(sp):
-        sp.add_argument("--arith", default="vanilla", help=SPEC_HELP)
-        sp.add_argument("--native", action="store_true",
-                        help="run without FPVM")
-        sp.add_argument("--no-patch", action="store_true",
-                        help="skip static analysis/patching (unsound!)")
-        sp.add_argument("--patch-mode", action="store_true",
-                        help="use trap-and-patch instead of trap-and-emulate")
-        sp.add_argument("--mode", default=None,
-                        choices=("trap-and-emulate", "trap-and-patch",
-                                 "static"),
-                        help="execution approach (overrides --patch-mode)")
-        sp.add_argument("--instrument", action="store_true",
-                        help="compile with inline FP checks "
-                             "(the compiler-based approach; use with "
-                             "--mode static)")
-        sp.add_argument("--scenario", default="user",
-                        choices=("user", "kernel", "hrt", "pipeline"),
-                        help="trap delivery deployment scenario (paper §6)")
-        sp.add_argument("--stats", action="store_true",
-                        help="print run statistics to stderr")
-        sp.add_argument("--slowdown", action="store_true",
-                        help="also run natively and report the slowdown")
-        sp.add_argument("--trace", default=None, metavar="FILE",
-                        help="record an NDJSON event trace to FILE "
-                             "(inspect with `trace summarize FILE`)")
-        sp.add_argument("--jit", type=int, default=0, metavar="N",
-                        help="compile a trap site to a specialized "
-                             "closure after N traps (0 disables; "
-                             "trap-and-emulate mode only)")
-        sp.add_argument("--trace-jit", type=int, default=0, metavar="N",
-                        help="trace-compile a hot loop after N "
-                             "back-edge executions (0 disables; "
-                             "trap-and-emulate mode only)")
+    def add_target(sp):
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("program", nargs="?", help="fpc source file")
+        g.add_argument("--workload", choices=sorted(WORKLOADS),
+                       help="built-in benchmark instead of a file")
+        sp.add_argument("--size", default="test",
+                        choices=("test", "bench", "S"))
 
     run_p = sub.add_parser("run", help="execute under FPVM (or natively)",
                            parents=[batch_parent])
     add_target(run_p)
-    add_run_options(run_p)
+    run_p.add_argument("--arith", default="vanilla", help=SPEC_HELP)
+    run_p.add_argument("--native", action="store_true",
+                       help="run without FPVM")
+    run_p.add_argument("--no-patch", action="store_true",
+                       help="skip static analysis/patching (unsound!)")
+    run_p.add_argument("--mode", default="trap-and-emulate",
+                       choices=("trap-and-emulate", "trap-and-patch",
+                                "static"),
+                       help="execution approach")
+    run_p.add_argument("--instrument", action="store_true",
+                       help="compile with inline FP checks "
+                            "(the compiler-based approach; use with "
+                            "--mode static)")
+    run_p.add_argument("--scenario", default="user",
+                       choices=("user", "kernel", "hrt", "pipeline"),
+                       help="trap delivery deployment scenario (paper §6)")
+    run_p.add_argument("--stats", action="store_true",
+                       help="print run statistics to stderr")
+    run_p.add_argument("--slowdown", action="store_true",
+                       help="also run natively and report the slowdown")
+    run_p.add_argument("--trace", default=None, metavar="FILE",
+                       help="record an NDJSON event trace to FILE "
+                            "(inspect with `trace summarize FILE`)")
+    run_p.add_argument("--jit", type=int, default=0, metavar="N",
+                       help="compile a trap site to a specialized "
+                            "closure after N traps (0 disables; "
+                            "trap-and-emulate mode only)")
+    run_p.add_argument("--trace-jit", type=int, default=0, metavar="N",
+                       help="trace-compile a hot loop after N "
+                            "back-edge executions (0 disables; "
+                            "trap-and-emulate mode only)")
     run_p.set_defaults(fn=cmd_run)
-
-    wl_p = sub.add_parser("workload",
-                          help="run a built-in benchmark under FPVM",
-                          parents=[batch_parent])
-    wl_p.add_argument("name", choices=sorted(WORKLOADS))
-    wl_p.add_argument("--size", default="bench",
-                      choices=("test", "bench", "S"))
-    add_run_options(wl_p)
-    wl_p.set_defaults(fn=cmd_workload, program=None)
 
     tr_p = sub.add_parser("trace", help="work with recorded trace files")
     tr_sub = tr_p.add_subparsers(dest="trace_command", required=True)
@@ -628,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
              "dual-path (IEEE + high-precision shadow); sites whose "
              "relative divergence exceeds the threshold are flagged "
              "with per-site provenance; an interval-range static pass "
-             "exempts sites proven divergence-free")
+             "exempts sites proven bit-exact")
     sa_g = sa_p.add_mutually_exclusive_group(required=True)
     sa_g.add_argument("program", nargs="?", help="fpc source file")
     sa_g.add_argument("--workload", choices=sorted(WORKLOADS),
@@ -636,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     sa_g.add_argument("--registry", action="store_true",
                       help="exemption soundness gate over every "
                            "built-in workload: no statically proven "
-                           "site may dynamically diverge")
+                           "site may dynamically diverge; reports what "
+                           "the exemption skipped")
     sa_p.add_argument("--size", default="test",
                       choices=("test", "bench", "S"))
     sa_p.add_argument("--threshold", type=float, default=1e-6,
@@ -646,11 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     sa_p.add_argument("--no-exempt", action="store_true",
                       help="dual-path check every site, ignoring the "
                            "interval-range pass")
-    sa_p.add_argument("--exempt-aggressive", action="store_true",
-                      help="exempt every proven-divergence-free site, "
-                           "not just the bit-exact ones (faster; may "
-                           "mask bugs a downstream cancellation would "
-                           "have revealed)")
     sa_p.add_argument("--validate", action="store_true",
                       help="also run the exemption soundness gate "
                            "(full dual-path run; proven sites must "

@@ -228,24 +228,18 @@ class FPVM:
             self.jit.box_free_sites = self._box_free_sites
 
     def apply_range_analysis(self, report) -> None:
-        """Register interval-range proofs: statically proven sites skip
-        dual-path instrumentation entirely (their traps short-circuit
-        to vanilla re-execution).  By default only *bit-exact* sites
-        (shadow provably equals IEEE) are exempted — dropping their
-        shadow is a no-op, so no downstream check changes verdict;
-        ``SanitizeConfig.aggressive`` widens this to every
-        divergence-free site, trading downstream flag fidelity for
-        speed.  A no-op when the sanitizer is absent, exemption is
-        disabled, or ``report`` is None.
+        """Register interval-range proofs: the *bit-exact* sites (shadow
+        provably equals IEEE) skip dual-path instrumentation entirely
+        (their traps short-circuit to vanilla re-execution).  Dropping
+        such a shadow is a no-op, so no check changes verdict.  A no-op
+        when the sanitizer is absent, exemption is disabled, or
+        ``report`` is None.
         """
         if report is None or self.sanitizer is None:
             return
         if not self.sanitizer.config.exempt:
             return
-        exempt = (report.proven if self.sanitizer.config.aggressive
-                  else report.exact)
-        self._sanitize_exempt = frozenset(exempt)
-        self.sanitizer.exempt = self._sanitize_exempt
+        self._sanitize_exempt = frozenset(report.exact)
 
     def _patch_all_fp_sites(self, machine: "Machine") -> None:
         for ins in list(machine.binary.text):
@@ -284,9 +278,9 @@ class FPVM:
         self.stats.record_trap_flags(frame.fp_flags)
         machine.mxcsr.clear_flags()  # sticky flags reset for next instr
         if frame.instruction.addr in self._sanitize_exempt:
-            # the interval-range pass proved this site's worst-case
-            # rounding error below the divergence threshold: skip the
-            # dual-path machinery and re-execute under plain IEEE.
+            # the interval-range pass proved this site bit-exact (its
+            # shadow equals IEEE): skip the dual-path machinery and
+            # re-execute under plain IEEE.
             self.stats.sanitize_exempt_execs += 1
             self._demote_operands(machine, frame.instruction)
             self._execute_vanilla(machine, frame.instruction)

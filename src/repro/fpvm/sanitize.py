@@ -13,9 +13,9 @@ Blame localization follows NSan: when a site flags, its shadow is
 resynchronized to the IEEE value, so downstream sites report only the
 error *they* introduce, not the echo of an upstream bug.
 
-The static half lives in ``analysis/ranges.py``: sites whose
-worst-case rounding error is statically proven below the threshold
-are *exempted* — their traps short-circuit straight to vanilla
+The static half lives in ``analysis/ranges.py``: sites whose shadow
+is statically proven to equal the IEEE result (bit-exact) are
+*exempted* — their traps short-circuit straight to vanilla
 re-execution (the ``box_free_sites`` fast-path pattern), skipping
 both shadow arithmetic and the divergence check entirely.
 """
@@ -50,16 +50,9 @@ class SanitizeConfig:
     #: resynchronize the shadow to the IEEE value on flag (NSan-style
     #: blame localization; turning it off measures total accumulation)
     resync: bool = True
-    #: honor static exemptions from the interval-range pass
+    #: skip the dual-path check at the sites the interval-range pass
+    #: proves bit-exact (shadow == IEEE, so no verdict can change)
     exempt: bool = True
-    #: exempt every proven-divergence-free site instead of only the
-    #: bit-exact ones.  Aggressive exemption drops shadows that differ
-    #: from IEEE by up to threshold/8 relative — sound for the exempt
-    #: site itself (it could never flag), but a downstream cancellation
-    #: can amplify exactly that dropped rounding into a missed flag
-    #: (the ``(big+1)-big`` pattern).  Default off: bit-exact shadows
-    #: cost nothing to drop and preserve every downstream verdict.
-    aggressive: bool = False
     #: per-site cap on emitted SanitizeFlagEvents (tables keep full counts)
     max_flag_events: int = 8
 
@@ -308,8 +301,6 @@ class Sanitizer:
         self.stats = stats
         self.trace = trace
         self.sites: dict[int, SiteRecord] = {}
-        #: statically proven divergence-free trap sites (exempted)
-        self.exempt: frozenset[int] = frozenset()
         #: op filter consulted by the emulator hook (attribute, so the
         #: emulator never imports this module)
         self.checked_ops = CHECKED_OPS

@@ -235,10 +235,10 @@ class SoftFPU:
                 return B.F64_DEFAULT_QNAN, Flags.IE
             flags = _denormal_flag(a, b)
             sign = (a ^ b) & B.F64_SIGN_BIT
-            if zero_b:  # nonzero / 0 -> ZE, signed inf
-                return sign | B.F64_POS_INF, flags | Flags.ZE
-            if inf_a:
+            if inf_a:  # inf / finite (zero included): exact, no ZE
                 return sign | B.F64_POS_INF, flags
+            if zero_b:  # finite nonzero / 0 -> ZE, signed inf
+                return sign | B.F64_POS_INF, flags | Flags.ZE
             return sign, flags  # inf_b or zero_a: signed zero
         fa, fb = _unpack_dd(_pack_qq(a, b))
         rb = _unpack_q(_pack_d(fa / fb))[0]
@@ -299,12 +299,11 @@ class SoftFPU:
             else:
                 rb = 0
             return rb, flags
-        r = math.ldexp(float(total), e) if abs(total).bit_length() <= 53 else (
-            self._round_big(total, e)
-        )
-        rb = B.f64_to_bits(r)
-        if B.is_inf64(rb):
-            return rb, flags | Flags.OE | Flags.PE
+        try:
+            rb = B.f64_to_bits(self._round_big(total, e))
+        except OverflowError:  # beyond binary64: RNE overflows to inf
+            sign = B.F64_SIGN_BIT if total < 0 else 0
+            return sign | B.F64_POS_INF, flags | Flags.OE | Flags.PE
         sr, er = _signed_mant_exp(rb)
         exact = (total << (e - er) == sr if e >= er
                  else total == sr << (er - e))
@@ -316,19 +315,23 @@ class SoftFPU:
 
     @staticmethod
     def _round_big(mant: int, exp: int) -> float:
-        """Round ``mant * 2**exp`` (|mant| possibly > 2^53) to binary64.
-
-        Keeps 54 significant bits plus a sticky bit so the host float
-        conversion performs a single correct RNE rounding.
+        """Round ``mant * 2**exp`` (any nonzero integer ``mant``) to
+        binary64, RNE, in one integer rounding: to 53 significant bits,
+        or to the 2**-1074 grid when the result is subnormal, so the
+        final scaling is exact.  Raises ``OverflowError`` when the
+        rounded value is beyond the binary64 range.
         """
-        sign = -1.0 if mant < 0 else 1.0
         m = abs(mant)
-        extra = m.bit_length() - 54
-        if extra > 0:
-            sticky = 1 if (m & ((1 << extra) - 1)) else 0
-            m = (m >> extra) << 1 | sticky
-            exp += extra - 1
-        return sign * math.ldexp(float(m), exp)
+        drop = max(m.bit_length() - 53, -1074 - exp)
+        if drop > 0:
+            rem = m & ((1 << drop) - 1)
+            half = 1 << (drop - 1)
+            m >>= drop
+            if rem > half or (rem == half and m & 1):
+                m += 1
+            exp += drop
+        r = math.ldexp(float(m), exp)
+        return -r if mant < 0 else r
 
     def min64(self, a: int, b: int) -> tuple[int, int]:
         """x64 MINSD: NaN (either) or both-zero -> returns src2 unchanged."""
@@ -518,7 +521,7 @@ class SoftFPU:
             elif op == "mul":
                 r = fa * fb
             elif op == "div":
-                if float(fb) == 0.0:
+                if float(fb) == 0.0 and not B.is_inf32(a32):
                     if float(fa) == 0.0:
                         return B.F32_DEFAULT_QNAN, Flags.IE
                     sign = (a32 ^ b32) & B.F32_SIGN_BIT

@@ -397,8 +397,8 @@ class RangeAnalysisEvent(TraceEvent):
 
     Emitted by the Session after ``analysis/ranges.py`` runs: of
     ``checkable`` value-producing FP trap sites, ``proven`` were
-    statically shown to stay within the divergence threshold and are
-    exempted from dual-path instrumentation.
+    statically shown to stay within the divergence threshold; only
+    their bit-exact subset is exempted from dual-path instrumentation.
     """
 
     kind: ClassVar[str] = "range_analysis"

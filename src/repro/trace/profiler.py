@@ -123,7 +123,7 @@ class ProfilerSink:
         self.trace_loops: dict[int, LoopStats] = {}
         self.analyses: list[AnalysisEvent] = []
         # NSan-mode sanitizer: per-site divergence provenance and the
-        # interval-range pass summaries that exempted sites from checking
+        # interval-range pass summaries (the proofs behind exemption)
         self.divergences: dict[int, DivergenceStats] = {}
         self.range_analyses: list[RangeAnalysisEvent] = []
         self.events_seen = 0

@@ -10,6 +10,7 @@ reports the native instruction and FP-instruction counts.  The modeled
 cycles are pinned exactly: retiring once changes counts, not cost.
 """
 
+from conftest import RAX, RCX, XMM0, XMM1, asm_program, imm, lbl, mem
 from repro.faults import FaultPlan, FaultRule
 from repro.fpvm.fpspy import spy_on
 from repro.fpvm.runtime import FPVMConfig
@@ -65,14 +66,33 @@ def test_storm_demoted_site_retires_once():
     assert _counts(res) == LORENZ_NATIVE
 
 
+def _rounding_loop():
+    """50 inexact ``roundsd`` of 2.5: each traps (PE), and the range
+    pass proves the site bit-exact, so the sanitizer exempts it."""
+    def body(a):
+        a.emit("mov", RCX, imm(50))
+        a.label("loop")
+        a.emit("movsd", XMM0, mem(disp=lbl("c")))
+        a.emit("roundsd", XMM1, XMM0, imm(0))
+        a.emit("dec", RCX)
+        a.emit("jne", lbl("loop"))
+        a.emit("mov", RAX, imm(0))
+
+    return asm_program(body, data=lambda a: a.double("c", 2.5))
+
+
 def test_sanitize_exempt_site_retires_once():
-    cfg = FPVMConfig(sanitize=SanitizeConfig(aggressive=True))
-    native = Session("numbugs_var", None, size="test").run()
-    sess = Session("numbugs_var", ("sanitize", 200), size="test",
-                   config=cfg)
-    res = sess.run()
-    assert sess.fpvm.stats.sanitize_exempt_execs > 0
-    assert _counts(res) == _counts(native)
+    native = Session(_rounding_loop, None).run()
+    seen = {}
+    for exempt in (True, False):
+        cfg = FPVMConfig(sanitize=SanitizeConfig(exempt=exempt))
+        sess = Session(_rounding_loop, ("sanitize", 200), config=cfg)
+        res = sess.run()
+        assert _counts(res) == _counts(native) == (203, 50)
+        st = sess.fpvm.stats
+        seen[exempt] = (res.fp_traps, st.sanitize_exempt_execs,
+                        st.sanitize_checks)
+    assert seen == {True: (50, 50, 0), False: (50, 0, 50)}
 
 
 def test_fpspy_counts_each_event_once():

@@ -19,11 +19,10 @@ from repro.workloads.numbugs import SEEDED_BUGS
 THRESH = 1e-6
 
 
-def sanitize_session(builder, *, exempt=True, aggressive=False,
-                     threshold=THRESH, precision=200, jit_threshold=0):
+def sanitize_session(builder, *, exempt=True, threshold=THRESH,
+                     precision=200, jit_threshold=0):
     cfg = FPVMConfig(jit_threshold=jit_threshold, sanitize=SanitizeConfig(
-        threshold=threshold, precision=precision,
-        exempt=exempt, aggressive=aggressive))
+        threshold=threshold, precision=precision, exempt=exempt))
     return Session(builder, ("sanitize", precision), config=cfg)
 
 
@@ -94,6 +93,18 @@ def test_clean_workload_not_flagged(wl):
 # soundness gate: no statically-exempt site may dynamically diverge           #
 # --------------------------------------------------------------------------- #
 
+#: the gate's report at size ``test``: (executions exempted, checks
+#: with the exemption on, checks with it off, proven sites that
+#: trapped, flags with it off).  The default exemption skips nothing
+#: here: no bit-exact site traps.  Pinned exactly.
+GATE_REPORT = {
+    "numbugs_cancel": (0, 231, 231, 2, 50),
+    "numbugs_sum": (0, 675, 675, 2, 102),
+    "numbugs_var": (0, 152, 152, 1, 1),
+    "lorenz": (0, 1390, 1390, 0, 0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(SEEDED_BUGS) + ["lorenz"])
 def test_exemption_gate_holds(name):
     val = validate_sanitize_exemptions(name, size="test",
@@ -101,6 +112,9 @@ def test_exemption_gate_holds(name):
     assert val.ok, val.summary()
     assert list(val.violations) == []
     assert val.checkable_count > 0
+    assert (val.exempt_execs, val.checks_on, val.checks_off,
+            len(val.proven_trapped), val.flags_off) == GATE_REPORT[name]
+    assert val.flags_on == val.flags_off
 
 
 #: (proven, checkable) FP sites of the interval-range pass at size
@@ -127,14 +141,13 @@ def test_ranges_pass_exempts_nonzero_fraction():
 # bit-identity: the IEEE path the program sees is untouched                   #
 # --------------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("mode", ["no-exempt", "exact", "aggressive"])
+@pytest.mark.parametrize("mode", ["no-exempt", "exact"])
 @pytest.mark.parametrize("name", sorted(SEEDED_BUGS))
 def test_sanitize_run_bit_identical_to_native(name, mode):
     _, build = SEEDED_BUGS[name]
     native = Session(lambda: build("test"), None).run()
     sess = sanitize_session(lambda: build("test"),
-                            exempt=mode != "no-exempt",
-                            aggressive=mode == "aggressive")
+                            exempt=mode == "exact")
     res = sess.run()
     assert res.stdout == native.stdout
     assert res.exit_code == native.exit_code
@@ -159,33 +172,23 @@ def test_trap_site_jit_keeps_every_check():
 
 
 #: modeled cycles of numbugs_var at size ``bench``: native, dual-path
-#: sanitize:200 with exemption off, and with aggressive exemption —
-#: ~418.59x and ~299.85x native.  Pinned exactly; regenerate with the
-#: old → new values as the reason.
-SANITIZE_CYCLES = (65269.99999993625, 27321255.99997359, 19571266.999983717)
+#: sanitize:200 with exemption off, and with the default exemption —
+#: ~418.59x native both, as the exemption skips no execution there.
+#: Pinned exactly; regenerate with the old → new values as the reason.
+SANITIZE_CYCLES = (65269.99999993625, 27321255.99997359, 27321255.99997359)
 
 
-def test_aggressive_exemption_reduces_checks():
+def test_default_exemption_cycles():
     def cycles(arith, scfg=None):
         cfg = FPVMConfig(sanitize=scfg) if scfg else None
         return Session("numbugs_var", arith, size="bench",
                        config=cfg).run().cycles
 
-    assert (cycles(None),
-            cycles(("sanitize", 200), SanitizeConfig(exempt=False)),
-            cycles(("sanitize", 200), SanitizeConfig(aggressive=True))) == \
-        SANITIZE_CYCLES
-
-    _, build = SEEDED_BUGS["numbugs_var"]
-    full = sanitize_session(lambda: build("test"), exempt=False)
-    full_res = full.run()
-    agg = sanitize_session(lambda: build("test"), aggressive=True)
-    agg_res = agg.run()
-    assert agg_res.stdout == full_res.stdout
-    assert agg.fpvm.stats.sanitize_checks < full.fpvm.stats.sanitize_checks
-    assert agg.fpvm.stats.sanitize_exempt_execs > 0
-    # the seeded bug survives exemption in the var workload
-    assert agg.fpvm.sanitizer.flagged_sites()
+    got = (cycles(None),
+           cycles(("sanitize", 200), SanitizeConfig(exempt=False)),
+           cycles(("sanitize", 200), SanitizeConfig()))
+    assert got == SANITIZE_CYCLES
+    assert got[2] == got[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -238,6 +241,16 @@ def test_cli_json_document(capsys):
     assert doc["sites"]
     assert doc["ranges"]["checkable"] > 0
     assert doc["sites"][0]["mnemonic"] == "subsd"
+
+
+def test_cli_gate_names_the_program(capsys):
+    rc = main(["sanitize", "--workload", "numbugs_var", "--size", "test",
+               "--validate"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "exemption gate     : numbugs_var [sanitize:200" in err
+    assert "<builder>" not in err
+    assert "exempt executions  : 0 (4 bit-exact sites exempt)" in err
 
 
 def test_cli_registry_gate(capsys):

@@ -3,10 +3,11 @@
 The reference decodes each operand into a ``Fraction``, computes the
 exact result, and rounds it to the format (round-to-nearest-even),
 which gives the result bits and the five flags.  It is parameterized
-by format, so one reference serves binary64 and binary32.  Its flag
-rules are this machine's: IE on a signaling NaN operand or an invalid
-operation; DE on a denormal operand; ZE on a zero divisor; OE|PE on
-overflow; PE when the result was rounded; UE only together with PE,
+by format, so one reference serves binary64 and binary32; fma has a
+binary64 reference of its own.  Its flag rules are this machine's: IE
+on a signaling NaN operand or an invalid operation; DE on a denormal
+operand; ZE on a zero divisor under a finite nonzero dividend; OE|PE
+on overflow; PE when the result was rounded; UE only together with PE,
 when the rounded result is subnormal or zero (the masked-response rule).
 """
 
@@ -162,15 +163,37 @@ def ref_binary(op: str, a: int, b: int, fmt: Fmt) -> tuple[int, int]:
     # div
     if (A.kind == "inf" and Bv.kind == "inf") or (A.zero and Bv.zero):
         return qnan
-    # ZE for any nonzero dividend over zero, an infinite one included: this
-    # machine's rule (x86 raises ZE only for a finite dividend)
-    if Bv.zero:
-        return fmt.inf(sign), de | ZE
+    # x86 raises ZE only for a finite nonzero dividend: inf / 0 is exact
     if A.kind == "inf":
         return fmt.inf(sign), de
+    if Bv.zero:
+        return fmt.inf(sign), de | ZE
     if Bv.kind == "inf" or A.zero:
         return fmt.zero(sign), de
     return finish(A.value / Bv.value, fmt, de, sign)
+
+
+def ref_fma(a: int, b: int, c: int) -> tuple[int, int]:
+    """``a*b + c`` rounded once; a NaN operand wins in ``a, b, c`` order."""
+    ops = (a, b, c)
+    vals = [decode(x, F64) for x in ops]
+    A, Bv, C = vals
+    if any(v.kind == "nan" for v in vals):
+        src = next(x for x, v in zip(ops, vals) if v.kind == "nan")
+        return src | F64.quiet_bit, IE if any(v.snan for v in vals) else 0
+    if (A.kind == "inf" and Bv.zero) or (Bv.kind == "inf" and A.zero):
+        return F64.default_qnan, IE
+    de = DE if any(v.denormal for v in vals) else 0
+    sign = A.sign ^ Bv.sign
+    if A.kind == "inf" or Bv.kind == "inf":
+        if C.kind == "inf" and C.sign != sign:
+            return F64.default_qnan, de | IE
+        return F64.inf(sign), de
+    if C.kind == "inf":
+        return c, de
+    prod = A.value * Bv.value
+    zero_sign = sign & C.sign if prod == 0 and C.zero else 0
+    return finish(prod + C.value, F64, de, zero_sign)
 
 
 def ref_sqrt(a: int) -> tuple[int, int]:
@@ -301,6 +324,41 @@ def test_binary32_flag_word(op, a, b):
 @settings(max_examples=300)
 def test_sqrt_flag_word(a):
     assert fpu.sqrt64(a) == ref_sqrt(a), hex(a)
+
+
+def check_fma(a: int, b: int, c: int) -> None:
+    assert fpu.fma64(a, b, c) == ref_fma(a, b, c), (hex(a), hex(b), hex(c))
+
+
+@given(bits64, bits64, bits64)
+@settings(max_examples=400)
+def test_fma_flag_word(a, b, c):
+    check_fma(a, b, c)
+
+
+def test_fma_overflow_edges():
+    """Exact ``a*b + c`` beyond the binary64 range rounds to a signed
+    infinity with OE|PE."""
+    big = B.f64_to_bits(1e200)
+    assert fpu.fma64(big, big, B.f64_to_bits(1.0)) == (B.F64_POS_INF,
+                                                        OE | PE)
+    top = pattern(2046, (1 << 52) - 1)
+    for s in (0, 1):
+        for e, f in product((2046, 1023, 1022, 1000, 500, 1, 0), FRACS):
+            x = pattern(e, f, s)
+            check_fma(top, pattern(1023, 0, s), x)
+            check_fma(top | B.F64_SIGN_BIT, pattern(1024, f), x)
+            check_fma(pattern(e, f, s), pattern(2046 - e, f ^ 1), top)
+
+
+def test_fma_subnormal_results():
+    """A 106-bit product landing on the subnormal grid rounds once (a
+    53-bit rounding first, then the subnormal one, rounded twice)."""
+    fracs = FRACS + (0x5555_5555_5555, 0x8000_0000_0001)
+    for ea, k in product((1, 2), range(0, 53, 4)):
+        for fa, fb, fc, s in product(fracs, fracs, (0, 1, 1 << 51), (0, 1)):
+            check_fma(pattern(ea, fa), pattern(1024 - ea - k, fb, s),
+                      pattern(0, fc, 1 - s))
 
 
 def test_sqrt_boundary_patterns():

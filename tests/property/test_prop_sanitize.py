@@ -34,18 +34,15 @@ POS = st.floats(min_value=0.1, max_value=8,
                 allow_nan=False).map(lambda v: round(v, 3))
 
 
-@given(fp_expr(), FLOATS, FLOATS, POS,
-       st.sampled_from([(True, False), (True, True), (False, False)]))
+@given(fp_expr(), FLOATS, FLOATS, POS, st.booleans())
 @settings(max_examples=20, deadline=None)
-def test_sanitize_preserves_ieee_path(expr, a, b, c, mode):
+def test_sanitize_preserves_ieee_path(expr, a, b, c, exempt):
     """Native run == sanitize run (stdout, exit code, instruction
-    count) in every exemption mode."""
-    exempt, aggressive = mode
+    count) with the exemption on and off."""
     src = _src(expr, a, b, c)
     native = Session(lambda: compile_source(src), None).run()
     cfg = FPVMConfig(sanitize=SanitizeConfig(
-        threshold=1e-6, precision=80,
-        exempt=exempt, aggressive=aggressive))
+        threshold=1e-6, precision=80, exempt=exempt))
     sess = Session(lambda: compile_source(src), ("sanitize", 80),
                    config=cfg)
     res = sess.run()

@@ -61,7 +61,7 @@ class TestCommands:
             assert main(["run", program, "--scenario", scenario]) == 0
 
     def test_run_patch_mode(self, program):
-        assert main(["run", program, "--patch-mode"]) == 0
+        assert main(["run", program, "--mode", "trap-and-patch"]) == 0
 
     def test_run_static_and_instrumented(self, program, capsys):
         main(["run", program, "--native"])
@@ -95,6 +95,16 @@ class TestCommands:
     def test_parser_rejects_missing_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sanitize", "--workload", "numbugs_cancel", "--exempt-aggressive"],
+        ["run", "--workload", "lorenz", "--patch-mode"],
+        ["workload", "lorenz"],
+    ])
+    def test_removed_spellings_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestBatchFlags:

@@ -49,7 +49,13 @@ def _load_builder(args):
         size = args.size
         return lambda: spec.build(size), args.workload
     path = Path(args.program)
-    source = path.read_text()
+    try:
+        source = path.read_text()
+    except OSError as exc:
+        # a usage error, like argparse's own: one line, exit status 2
+        print(f"repro: error: cannot read program file {args.program!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return (lambda: compile_source(source, instrument_fp=instrument),
             path.name)
 
@@ -277,6 +283,7 @@ def cmd_analyze(args) -> int:
     if args.validate:
         target = args.workload if getattr(args, "workload", None) else builder
         validation = validate(target, args.arith, size=args.size)
+        validation.label = label
     if args.json:
         doc = report.to_dict()
         if validation is not None:

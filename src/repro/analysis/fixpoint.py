@@ -37,8 +37,10 @@ class Fixpoint:
     def __init__(self, binary, cfg) -> None:
         self.binary = binary
         self.cfg = cfg
-        self.states: dict[tuple[int, int], object] = {}
-        self.join_counts: dict[tuple[int, int], int] = {}
+        #: (ctx, addr) -> [state, joins]: a key's state and the number
+        #: of joins into it so far, in one entry so a merge hashes the
+        #: key once
+        self._entries: dict[tuple[int, int], list] = {}
         self.iterations = 0
         self._ctx = 0
         #: the closures record their results (the pass at fixpoint)
@@ -47,6 +49,22 @@ class Fixpoint:
         self.global_vals: dict[tuple, object] = {}
         self.global_readers: dict[tuple, set[tuple[int, int]]] = {}
         self._poisoned: list[tuple[int, int]] = []
+
+    def state_at(self, key: tuple[int, int]):
+        """The state at ``key`` (None where the pass never reached)."""
+        entry = self._entries.get(key)
+        return entry[0] if entry is not None else None
+
+    @property
+    def states(self) -> dict[tuple[int, int], object]:
+        """A copy of every state, keyed ``(ctx, addr)``."""
+        return {key: entry[0] for key, entry in self._entries.items()}
+
+    @property
+    def join_counts(self) -> dict[tuple[int, int], int]:
+        """A copy of the join count of every key joined at least once."""
+        return {key: entry[1] for key, entry in self._entries.items()
+                if entry[1]}
 
     def _transfer_for(self, addr: int):
         """The compiled instruction at ``addr`` (a correctness trap's
@@ -62,16 +80,20 @@ class Fixpoint:
         return compiled
 
     def _merge_in(self, key, state, work) -> None:
-        old = self.states.get(key)
-        if old is None:
-            self.states[key] = state
+        entry = self._entries.get(key)
+        if entry is None:
+            self._entries[key] = [state, 0]
             work.append(key)
             return
-        count = self.join_counts.get(key, 0) + 1
-        self.join_counts[key] = count
+        old = entry[0]
+        if old is None:
+            entry[0] = state
+            work.append(key)
+            return
+        entry[1] = count = entry[1] + 1
         new = self.join(old, state, count > WIDEN_AFTER)
         if new is not old:
-            self.states[key] = new
+            entry[0] = new
             work.append(key)
 
     def _solve(self, init) -> None:
@@ -80,11 +102,12 @@ class Fixpoint:
         merge = self._merge_in
         compiled_get = self._compiled.get
         transfer_for = self._transfer_for
-        states = self.states
+        entries = self._entries
         merge((0, self.binary.entry), init, work)
         while work:
             key = work.pop()
-            state = states.get(key)
+            entry = entries.get(key)
+            state = entry[0] if entry is not None else None
             compiled = compiled_get(key[1]) or transfer_for(key[1])
             if state is None or compiled is None:
                 continue

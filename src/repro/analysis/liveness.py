@@ -163,7 +163,7 @@ def refine(vsa: "ValueSetAnalysis", report: "AnalysisReport") -> None:
                 "kept: conservative access (TOP/range escapes the prune)"
             kept.append(addr)
             continue
-        st = live.states.get((0, addr))
+        st = live.state_at((0, addr))
         if st is None:
             report.prune_reasons[addr] = \
                 "kept: not reached by the liveness walk"

@@ -318,7 +318,7 @@ class RangeAnalysis(Fixpoint):
     # ------------------------------------------------------------------ #
 
     def _vsa_state(self, addr: int):
-        return self.vsa.states.get((self._ctx, addr))
+        return self.vsa.state_at((self._ctx, addr))
 
     def _mem_cell(self, ins, mem: Mem):
         """Resolve a Mem operand to ("s", aloc) | ("g", [gkeys]) | None.

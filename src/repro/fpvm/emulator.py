@@ -94,12 +94,16 @@ class Emulator:
     # entry point                                                         #
     # ------------------------------------------------------------------ #
 
-    def emulate(self, machine: "Machine", bound: BoundInst) -> int:
-        """Emulate all lanes; returns modeled arithmetic cycles."""
+    def _resolve(self, bound: BoundInst) -> tuple[Callable, str]:
+        """The op function and op-count/cost key of ``bound``."""
         fn = self._op_map.get(bound.op)
         if fn is None:
             raise MachineError(f"no emulation for {bound.op}")
-        name = bound.decoded.arith_name or bound.op.name.lower()
+        return fn, bound.decoded.arith_name or bound.op.name.lower()
+
+    def emulate(self, machine: "Machine", bound: BoundInst) -> int:
+        """Emulate all lanes; returns modeled arithmetic cycles."""
+        fn, name = self._resolve(bound)
         for lane in bound.lanes:
             fn(machine, lane, bound)
         self.ops_emulated[name] = self.ops_emulated.get(name, 0) + len(
@@ -120,6 +124,34 @@ class Emulator:
                         san.check_value(machine, instr.addr,
                                         instr.mnemonic, v)
         return self.arith.op_cycles(name) * len(bound.lanes)
+
+    def prepare(self, bound: BoundInst) -> tuple[Callable[["Machine"], None],
+                                                  int]:
+        """One site's :meth:`emulate`, resolved once: ``(run, cycles)``.
+
+        ``run(machine)`` applies the same op function to every lane of
+        ``bound`` and counts the op as :meth:`emulate` does; ``cycles``
+        is what :meth:`emulate` returns for it (a port's ``op_cycles``
+        is fixed per op).  There is no sanitizer check: sanitize runs
+        never build site kernels.  Prepare only a ``bound`` that
+        :meth:`emulate` has run once, so that its op counter exists.
+        """
+        fn, name = self._resolve(bound)
+        lanes = tuple(bound.lanes)
+        n = len(lanes)
+        ops = self.ops_emulated
+        if n == 1:
+            lane = lanes[0]
+
+            def run(machine: "Machine") -> None:
+                fn(machine, lane, bound)
+                ops[name] += 1
+        else:
+            def run(machine: "Machine") -> None:
+                for lane in lanes:
+                    fn(machine, lane, bound)
+                ops[name] += n
+        return run, self.arith.op_cycles(name) * n
 
     # ------------------------------------------------------------------ #
     # (un)boxing                                                          #

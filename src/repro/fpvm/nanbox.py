@@ -67,9 +67,11 @@ class NaNBoxCodec:
 
         Whether it actually corresponds to a live shadow value is the
         store's call — the conservative GC and the emulator both do
-        the membership check.
+        the membership check.  (``is_snan64``, spelled out: this test
+        runs on every operand the emulator reads.)
         """
-        return is_snan64(bits)
+        return ((bits & F64_EXP_MASK) == F64_EXP_MASK
+                and not bits & F64_QNAN_BIT and (bits & PAYLOAD_MASK) != 0)
 
     @staticmethod
     def decode(bits: int) -> int:

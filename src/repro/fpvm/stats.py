@@ -34,6 +34,15 @@ FIG9_COMPONENTS = (
 )
 
 
+#: MXCSR event bits -> the names of the flags set, in IE..PE order
+_FLAG_NAMES = tuple(
+    tuple(name for bit, name in ((Flags.IE, "IE"), (Flags.DE, "DE"),
+                                 (Flags.ZE, "ZE"), (Flags.OE, "OE"),
+                                 (Flags.UE, "UE"), (Flags.PE, "PE"))
+          if flags & bit)
+    for flags in range(Flags.ALL + 1))
+
+
 @dataclass
 class FPVMStats:
     """Counters accumulated by one FPVM run."""
@@ -125,11 +134,9 @@ class FPVMStats:
 
     def record_trap_flags(self, flags: int) -> None:
         self.fp_traps += 1
-        for bit, name in ((Flags.IE, "IE"), (Flags.DE, "DE"),
-                          (Flags.ZE, "ZE"), (Flags.OE, "OE"),
-                          (Flags.UE, "UE"), (Flags.PE, "PE")):
-            if flags & bit:
-                self.traps_by_flag[name] = self.traps_by_flag.get(name, 0) + 1
+        by_flag = self.traps_by_flag
+        for name in _FLAG_NAMES[flags & Flags.ALL]:
+            by_flag[name] = by_flag.get(name, 0) + 1
 
     # ------------------------------------------------------------------ #
     def fig9_breakdown(self, machine: "Machine") -> dict[str, float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.asm import Assembler
@@ -59,3 +61,50 @@ def mem(base=None, disp=0, index=None, scale=1, size=8):
     b = base.name if isinstance(base, Reg) else base
     ix = index.name if isinstance(index, Reg) else index
     return Mem(base=b, index=ix, scale=scale, disp=disp, size=size)
+
+
+# --------------------------------------------------------------------------- #
+# per-site trap kernels on and off                                             #
+# --------------------------------------------------------------------------- #
+
+def kernel_observed(session, res) -> dict:
+    """Everything an FPVM run computes and charges, for comparing runs
+    with trap kernels on and off: outputs, counts, cycles and every
+    bucket (float ``==``), final registers and MXCSR, every FPVMStats
+    field, the emulator and cache counters and the GC pass records
+    (their host latency aside)."""
+    f = session.fpvm
+    em = f.emulator
+    m = session.machine
+    return dict(
+        stdout=res.stdout, exit=res.exit_code, instrs=res.instr_count,
+        fp_instrs=res.fp_instr_count, traps=res.fp_traps,
+        correctness=res.correctness_traps, cycles=res.cycles,
+        buckets=res.buckets, regs=res.final_regs,
+        mxcsr=(m.mxcsr.flags, m.mxcsr.masks),
+        stats=dataclasses.asdict(f.stats),
+        emulator=(em.promotions, em.unbox_hits, em.universal_nans,
+                  em.boxes_created, em.corrupted_boxes,
+                  dict(em.ops_emulated)),
+        caches=(f.decode_cache.hits, f.decode_cache.misses,
+                f.bind_cache.hits, f.bind_cache.misses),
+        gc=[(p.alive_before, p.freed, p.alive_after, p.words_scanned,
+             p.modeled_cycles) for p in f.gc.passes],
+    )
+
+
+def run_with_kernels(target, arith="vanilla", *, on=True, budget=None,
+                     size="test", **kwargs):
+    """Build and run a Session with the trap kernels switched on or off
+    (``repro.fpvm.runtime.SITE_KERNELS``); returns (session, result)."""
+    from repro.fpvm import runtime
+    from repro.session import Session
+
+    saved = runtime.SITE_KERNELS
+    runtime.SITE_KERNELS = on
+    try:
+        s = Session(target, arith, size=size, **kwargs)
+        res = s.run(budget)
+    finally:
+        runtime.SITE_KERNELS = saved
+    return s, res

@@ -86,6 +86,23 @@ class TestCommands:
         assert main(["analyze", program]) == 0
         assert "patches total" in capsys.readouterr().out
 
+    def test_analyze_validate_names_the_program_file(self, program, capsys):
+        assert main(["analyze", program, "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "prog.fpc [mpfr:64]: OK" in out
+        assert "<builder>" not in out
+
+    @pytest.mark.parametrize("command", ["run", "sanitize"])
+    def test_missing_program_file_is_a_usage_error(self, command, tmp_path,
+                                                   capsys):
+        missing = str(tmp_path / "missing.fpc")
+        with pytest.raises(SystemExit) as exc:
+            main([command, missing])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err
+        assert "Traceback" not in err
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

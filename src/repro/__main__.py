@@ -30,8 +30,15 @@ from repro.session import Session
 from repro.workloads import WORKLOADS, get_workload
 
 
+def _usage_error(message: str):
+    """A usage error, like argparse's own: one line, exit status 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def parse_arith(spec: str):
-    """Parse an arithmetic-system spec string (CLI shell: exits on error).
+    """Parse an arithmetic-system spec string (CLI shell: a bad spec is
+    a usage error).
 
     Library code should call :func:`repro.arith.from_spec`, which
     raises :class:`~repro.errors.ArithSpecError` instead of exiting.
@@ -39,7 +46,7 @@ def parse_arith(spec: str):
     try:
         return from_spec(spec)
     except ArithSpecError as exc:
-        raise SystemExit(str(exc)) from None
+        _usage_error(str(exc))
 
 
 def _load_builder(args):
@@ -52,10 +59,8 @@ def _load_builder(args):
     try:
         source = path.read_text()
     except OSError as exc:
-        # a usage error, like argparse's own: one line, exit status 2
-        print(f"repro: error: cannot read program file {args.program!r}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(f"cannot read program file {args.program!r}: "
+                     f"{exc.strerror or exc}")
     return (lambda: compile_source(source, instrument_fp=instrument),
             path.name)
 
@@ -307,7 +312,7 @@ def cmd_chaos(args) -> int:
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     for w in workloads:
         if w not in WORKLOADS:
-            raise SystemExit(f"unknown workload {w!r}; see `repro list`")
+            _usage_error(f"unknown workload {w!r}; see `repro list`")
     ariths = []
     for raw in (a.strip() for a in args.ariths.split(",")):
         if not raw:
@@ -315,7 +320,7 @@ def cmd_chaos(args) -> int:
         try:
             ariths.append(normalize_spec(raw))
         except ArithSpecError as exc:
-            raise SystemExit(str(exc)) from None
+            _usage_error(str(exc))
     stages = None
     if args.stages:
         stages = tuple(s.strip() for s in args.stages.split(",")

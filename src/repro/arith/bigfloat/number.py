@@ -61,10 +61,6 @@ class BF:
     def is_zero(self) -> bool:
         return self.kind == ZERO
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind in (FINITE, ZERO)
-
     def signed_mant(self) -> int:
         return -self.mant if self.sign else self.mant
 
@@ -312,7 +308,10 @@ class BigFloatContext:
             return self.nan() if a.kind == ZERO else self.inf(sign)
         if a.kind == ZERO:
             return self.zero(sign)
-        shift = self.prec + 2
+        # the quotient must carry prec + 2 bits before rounding, so the
+        # shift grows with how much wider the divisor is
+        shift = max(0, self.prec + 2 + b.mant.bit_length()
+                    - a.mant.bit_length())
         q, r = divmod(a.mant << shift, b.mant)
         return self.round_mant(sign, q, a.exp - b.exp - shift,
                                sticky=r != 0)
@@ -395,15 +394,6 @@ class BigFloatContext:
                 mb = b.mant << (b.exp - e)
                 mag = (ma > mb) - (ma < mb)
         return -mag if a.sign else mag
-
-    def cmp_total(self, a: BF, b: BF) -> int:
-        """Total order used internally (NaN greatest)."""
-        c = self.cmp(a, b)
-        if c is not None:
-            return c
-        if a.kind == NAN and b.kind == NAN:
-            return 0
-        return 1 if a.kind == NAN else -1
 
     # ------------------------------------------------------------------ #
     # integral conversions / rounding to integer                          #

@@ -76,13 +76,6 @@ class Binary:
         except KeyError:
             raise AssemblyError(f"no instruction at {addr:#x}") from None
 
-    def symbol_addr(self, name: str) -> int:
-        if name in self.symbols:
-            return self.symbols[name]
-        if name in self.imports:
-            return self.imports[name]
-        raise AssemblyError(f"undefined symbol {name!r}")
-
     def import_name_at(self, addr: int) -> str | None:
         for name, a in self.imports.items():
             if a == addr:

@@ -103,54 +103,47 @@ class Emulator:
 
     def emulate(self, machine: "Machine", bound: BoundInst) -> int:
         """Emulate all lanes; returns modeled arithmetic cycles."""
-        fn, name = self._resolve(bound)
-        for lane in bound.lanes:
-            fn(machine, lane, bound)
-        self.ops_emulated[name] = self.ops_emulated.get(name, 0) + len(
-            bound.lanes
-        )
-        san = self.sanitizer
-        if san is not None and bound.op in san.checked_ops:
-            # sanitize mode: compare the freshly boxed IEEE/shadow pair
-            # at every value-producing destination lane
-            instr = bound.decoded.instr
-            for lane in bound.lanes:
-                if lane.dst is None:
-                    continue
-                bits = lane.dst.read()
-                if self.codec.is_box(bits):
-                    v = self.store.get(self.codec.decode(bits))
-                    if v is not None:
-                        san.check_value(machine, instr.addr,
-                                        instr.mnemonic, v)
-        return self.arith.op_cycles(name) * len(bound.lanes)
+        run, cycles = self.prepare(bound)
+        run(machine)
+        return cycles
 
     def prepare(self, bound: BoundInst) -> tuple[Callable[["Machine"], None],
                                                   int]:
         """One site's :meth:`emulate`, resolved once: ``(run, cycles)``.
 
-        ``run(machine)`` applies the same op function to every lane of
-        ``bound`` and counts the op as :meth:`emulate` does; ``cycles``
-        is what :meth:`emulate` returns for it (a port's ``op_cycles``
-        is fixed per op).  There is no sanitizer check: sanitize runs
-        never build site kernels.  Prepare only a ``bound`` that
-        :meth:`emulate` has run once, so that its op counter exists.
+        ``run(machine)`` applies the op function to every lane of
+        ``bound`` and counts the op; under the sanitizer it then
+        compares the freshly boxed IEEE/shadow pair at every
+        value-producing destination lane.  ``cycles`` is the modeled
+        arithmetic cost (a port's ``op_cycles`` is fixed per op).
         """
         fn, name = self._resolve(bound)
         lanes = tuple(bound.lanes)
         n = len(lanes)
         ops = self.ops_emulated
-        if n == 1:
-            lane = lanes[0]
+
+        def run(machine: "Machine") -> None:
+            for lane in lanes:
+                fn(machine, lane, bound)
+            ops[name] = ops.get(name, 0) + n
+
+        san = self.sanitizer
+        if san is not None and bound.op in san.checked_ops:
+            apply_op = run
+            dsts = tuple(lane.dst for lane in lanes if lane.dst is not None)
+            instr = bound.decoded.instr
+            is_box, decode, get = (self.codec.is_box, self.codec.decode,
+                                   self.store.get)
 
             def run(machine: "Machine") -> None:
-                fn(machine, lane, bound)
-                ops[name] += 1
-        else:
-            def run(machine: "Machine") -> None:
-                for lane in lanes:
-                    fn(machine, lane, bound)
-                ops[name] += n
+                apply_op(machine)
+                for dst in dsts:
+                    bits = dst.read()
+                    if is_box(bits):
+                        v = get(decode(bits))
+                        if v is not None:
+                            san.check_value(machine, instr.addr,
+                                            instr.mnemonic, v)
         return run, self.arith.op_cycles(name) * n
 
     # ------------------------------------------------------------------ #

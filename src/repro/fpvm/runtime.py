@@ -42,7 +42,7 @@ from repro.machine.libc import LIBM_FUNCTIONS, _printf_impl
 from repro.machine.predecode import _ea_closure
 from repro.machine.traps import TrapFrame
 from repro.fpvm.binding import BindCache, XmmLoc
-from repro.fpvm.decoder import DecodeCache, FPVMOp
+from repro.fpvm.decoder import DecodeCache
 from repro.fpvm.emulator import Emulator
 from repro.fpvm.gc import ConservativeGC
 from repro.fpvm.nanbox import NaNBoxCodec
@@ -92,18 +92,6 @@ class FPVMConfig:
 
 #: faults the degradation ladder recovers from (anything else escapes)
 RECOVERABLE_FAULTS = (InjectedFault, ArithmeticPortError, NanBoxError)
-
-#: build per-site trap kernels where a run allows them; a private
-#: switch for the kernels-on/off differential test, read at install
-SITE_KERNELS = True
-
-#: FP ops whose later traps a site kernel serves; the rest stay generic
-_KERNEL_OPS = frozenset([
-    FPVMOp.ADD, FPVMOp.SUB, FPVMOp.MUL, FPVMOp.DIV, FPVMOp.MIN, FPVMOp.MAX,
-    FPVMOp.SQRT, FPVMOp.UCOMI, FPVMOp.COMI,
-    FPVMOp.CVT_F64_I32, FPVMOp.CVT_F64_I32_TRUNC,
-    FPVMOp.CVT_F64_I64, FPVMOp.CVT_F64_I64_TRUNC,
-])
 
 #: libm name -> (arith method name, arity); floor/ceil map to ROUND modes
 _LIBM_MAP: dict[str, tuple[str, int]] = {
@@ -202,11 +190,6 @@ class FPVM:
         #: tracing JIT — created at install time (needs the machine's
         #: compiled step table); None until then / when disabled
         self.tracejit = None
-        #: per-site trap kernels: whether this run builds them (decided
-        #: at install), and the sites that must stay generic because a
-        #: fault degraded them
-        self._kernels_on = False
-        self._no_kernel: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # install / uninstall                                                 #
@@ -232,14 +215,6 @@ class FPVM:
             machine.mxcsr.unmask_all()
         machine.mxcsr.clear_flags()
         self._interpose_externs(machine)
-        # kernels serve later traps without the generic path's hooks:
-        # events, fault injection, sanitizer checks and JIT counting
-        # all live there, so any of them keeps every trap generic
-        self._kernels_on = (
-            SITE_KERNELS and self.mode == "trap-and-emulate"
-            and self.trace is None and self.injector is None
-            and self.sanitizer is None and self.config.jit_threshold == 0
-            and self.config.trace_jit_threshold == 0)
         if (self.config.trace_jit_threshold > 0
                 and self.mode == "trap-and-emulate"
                 and getattr(machine, "_blocks", None) is not None):
@@ -311,27 +286,32 @@ class FPVM:
     # ------------------------------------------------------------------ #
     # SIGFPE path (trap-and-emulate §3.1/4.1)                             #
     # ------------------------------------------------------------------ #
+    # Every trap is served by a *site kernel*: the decode -> bind ->
+    # emulate pipeline with everything constant per site resolved once,
+    # plus the stages this run's configuration selects.  A site's first
+    # trap (and its first after a degrade dropped the kernel) arrives
+    # here: decode and bind resolve through the caches, charging what a
+    # miss costs, and the kernel built from the result serves the rest
+    # of the trap.  Later traps run the kernel straight from the fault
+    # path, delivery included (Machine.site_kernels).
 
     def _on_fp_trap(self, machine: "Machine", frame: TrapFrame) -> None:
+        ins = frame.instruction
         self.stats.record_trap_flags(frame.fp_flags)
         machine.mxcsr.clear_flags()  # sticky flags reset for next instr
-        if frame.instruction.addr in self._sanitize_exempt:
-            # the interval-range pass proved this site bit-exact (its
-            # shadow equals IEEE): skip the dual-path machinery and
-            # re-execute under plain IEEE.
-            self.stats.sanitize_exempt_execs += 1
-            self._demote_operands(machine, frame.instruction)
-            self._execute_vanilla(machine, frame.instruction)
-            self.gc.maybe_collect(machine)
-            return
-        if frame.instruction.addr in self._demoted_sites:
-            # storm detector already demoted this site permanently:
-            # §4.1 short-circuiting as a safety valve.  Operands must
-            # be demoted first — vanilla execution on raw NaN-box bits
-            # would poison the result with NaNs.
-            self.stats.short_circuit_execs += 1
-            self._demote_operands(machine, frame.instruction)
-            self._execute_vanilla(machine, frame.instruction)
+        exempt = ins.addr in self._sanitize_exempt
+        if exempt or ins.addr in self._demoted_sites:
+            # §4.1 short-circuiting: the interval-range pass proved the
+            # site bit-exact (its shadow equals IEEE), or the storm
+            # detector demoted it permanently as a safety valve.
+            # Operands are demoted first — vanilla execution on raw
+            # NaN-box bits would poison the result with NaNs.
+            if exempt:
+                self.stats.sanitize_exempt_execs += 1
+            else:
+                self.stats.short_circuit_execs += 1
+            self._demote_operands(machine, ins)
+            self._execute_vanilla(machine, ins)
             self.gc.maybe_collect(machine)
             return
         plat = machine.cost.platform
@@ -339,101 +319,96 @@ class FPVM:
         stage = "decode"
         try:
             if inj is not None:
-                inj.fire("decode", frame.instruction.mnemonic)
-            decoded, hit = self.decode_cache.lookup(frame.instruction)
+                inj.fire("decode", ins.mnemonic)
+            decoded, hit = self.decode_cache.lookup(ins)
             self.stats.record_decode(hit)
-            decode_cycles = (plat.decode_hit_cycles if hit
-                             else plat.decode_miss_cycles)
-            machine.cost.charge(decode_cycles, "decode")
+            decode_c = (plat.decode_hit_cycles if hit
+                        else plat.decode_miss_cycles)
+            machine.cost.charge(decode_c, "decode")
             stage = "bind"
             if inj is not None:
-                inj.fire("bind", frame.instruction.mnemonic)
+                inj.fire("bind", ins.mnemonic)
             bound, bhit = self.bind_cache.lookup(machine, decoded)
             self.stats.record_bind(bhit)
-            bind_cycles = plat.bind_hit_cycles if bhit else plat.bind_cycles
-            machine.cost.charge(bind_cycles, "bind")
-
-            stage = "emulate"
-            if inj is not None:
-                inj.fire("emulate", frame.instruction.mnemonic)
-            arith_cycles = self.emulator.emulate(machine, bound)
+            bind_c = plat.bind_hit_cycles if bhit else plat.bind_cycles
+            machine.cost.charge(bind_c, "bind")
         except RECOVERABLE_FAULTS as exc:
-            stage = getattr(exc, "stage", stage)
-            self._degrade(machine, frame.instruction, stage, exc)
+            self._degrade(machine, ins, getattr(exc, "stage", stage), exc)
             self.gc.maybe_collect(machine)
             return
-        emulate_cycles = plat.emulate_base_cycles + arith_cycles
-        machine.cost.charge(emulate_cycles, "emulate")
-        machine.regs.rip = frame.instruction.next_addr
-
-        if self.trace is not None:
-            self.trace.emit(TrapEvent(
-                cycles=machine.cost.cycles,
-                addr=frame.instruction.addr,
-                mnemonic=frame.instruction.mnemonic,
-                flags=frame.fp_flags,
-                path="fault",
-                decode_cycles=decode_cycles,
-                bind_cycles=bind_cycles,
-                emulate_cycles=emulate_cycles,
-                decode_hit=hit,
-                bind_hit=bhit,
-            ))
-        if self.mode == "trap-and-patch":
-            self._install_patch(machine, frame.instruction)
-        elif self.jit is not None:
-            self.jit.note_trap(machine, frame.instruction, decoded)
-        elif self._kernels_on and decoded.op in _KERNEL_OPS:
-            self._build_fp_kernel(machine, frame.instruction, bound)
-        self.gc.maybe_collect(machine)
-
-    # ------------------------------------------------------------------ #
-    # per-site trap kernels                                               #
-    # ------------------------------------------------------------------ #
-    # After the first generic trap at a site, later traps there run a
-    # kernel built for the site: the same counters, charges (the same
-    # float additions in the same order) and op functions as the
-    # generic path, with everything constant per site resolved once.
-
-    def _kernel_site(self, machine: "Machine", ins: Instruction) -> bool:
-        """May the site holding ``ins`` get a kernel now?"""
-        addr = ins.addr
-        return (machine.trace is None and machine.oracle is None
-                and addr not in self._no_kernel
-                and addr not in self._demoted_sites
-                and addr not in self._sanitize_exempt
-                and machine.binary.text_map.get(addr) is ins)
-
-    def _drop_kernel(self, machine: "Machine", addr: int) -> None:
-        """Send every later trap at ``addr`` down the generic path."""
-        self._no_kernel.add(addr)
-        machine.site_kernels.pop(addr, None)
+        serve = self._build_fp_kernel(machine, ins, decoded, bound)
+        serve(frame.fp_flags, (decode_c, bind_c, hit, bhit))
 
     def _build_fp_kernel(self, machine: "Machine", ins: Instruction,
-                         bound) -> None:
-        """The FP trap kernel of ``ins``: the rest of
-        ``Machine._fp_event`` once a fault is pending, then
-        :meth:`_on_fp_trap` on its decode- and bind-hit path."""
-        if not self._kernel_site(machine, ins):
-            return
+                         decoded, bound) -> Callable[[int, tuple], None]:
+        """Build the kernel of FP site ``ins`` and return its *serve*
+        stage: emulation and what follows it, given the trap's flags
+        and its ``(decode cycles, bind cycles, decode hit, bind hit)``.
+
+        Under trap-and-emulate the kernel, which adds delivery and the
+        decode/bind hit path in front of serve, takes the site's later
+        traps.  The stages a configuration adds: a fault plan's
+        decode/bind/emulate hooks, the sanitizer's checks (inside the
+        emulator's prepared op), a trace sink's TrapEvent, and then
+        trap-and-patch's patch or the trap-site JIT's trap count.
+        """
         m = machine
-        emulate, arith_cycles = self.emulator.prepare(bound)
-        refreshers = self.bind_cache.cache[ins.addr][2]
-        plat = m.cost.platform
-        hw, kd = m.delivery_split()
-        decode_c = plat.decode_hit_cycles
-        bind_c = plat.bind_hit_cycles
-        emulate_c = plat.emulate_base_cycles + arith_cycles
-        mx = m.mxcsr
         cost = m.cost
-        buckets = cost.buckets
+        charge = cost.charge
+        plat = cost.platform
         regs = m.regs
-        nxt = ins.next_addr
+        addr, mn, nxt = ins.addr, ins.mnemonic, ins.next_addr
+        inj = self.injector
+        degrade = self._degrade
+        maybe_collect = self.gc.maybe_collect
+        emulate, arith_cycles = self.emulator.prepare(bound)
+        emulate_c = plat.emulate_base_cycles + arith_cycles
+
+        after = []
+        if self.trace is not None:
+            emit = self.trace.emit
+
+            def emit_trap(flags: int, resolved: tuple) -> None:
+                decode_c, bind_c, hit, bhit = resolved
+                emit(TrapEvent(
+                    cycles=cost.cycles, addr=addr, mnemonic=mn,
+                    flags=flags, path="fault", decode_cycles=decode_c,
+                    bind_cycles=bind_c, emulate_cycles=emulate_c,
+                    decode_hit=hit, bind_hit=bhit))
+            after.append(emit_trap)
+        if self.mode == "trap-and-patch":
+            after.append(lambda flags, resolved: self._install_patch(m, ins))
+        elif self.jit is not None:
+            note_trap = self.jit.note_trap
+            after.append(lambda flags, resolved: note_trap(m, ins, decoded))
+
+        def serve(flags: int, resolved: tuple) -> None:
+            try:
+                if inj is not None:
+                    inj.fire("emulate", mn)
+                emulate(m)
+            except RECOVERABLE_FAULTS as exc:
+                degrade(m, ins, getattr(exc, "stage", "emulate"), exc)
+                maybe_collect(m)
+                return
+            charge(emulate_c, "emulate")
+            regs.rip = nxt
+            for stage in after:
+                stage(flags, resolved)
+            maybe_collect(m)
+
+        if self.mode != "trap-and-emulate":
+            return serve
+        hw, kd = m.delivery_split()
+        decode_c, bind_c = plat.decode_hit_cycles, plat.bind_hit_cycles
+        hit_path = (decode_c, bind_c, True, True)
+        refreshers = self.bind_cache.cache[addr][2]
+        buckets = cost.buckets
+        mx = m.mxcsr
         stats = self.stats
         record_flags = stats.record_trap_flags
         decode_cache = self.decode_cache
         bind_cache = self.bind_cache
-        maybe_collect = self.gc.maybe_collect
 
         def kernel(flags: int) -> bool:
             m.fp_trap_count += 1
@@ -443,76 +418,38 @@ class FPVM:
             buckets["kernel_delivery"] += kd
             record_flags(flags)
             mx.flags = 0
-            decode_cache.hits += 1
-            stats.decode_hits += 1
-            cost.cycles += decode_c
-            buckets["decode"] += decode_c
-            bind_cache.hits += 1
-            for refresh in refreshers:
-                refresh(m)
-            stats.bind_hits += 1
-            cost.cycles += bind_c
-            buckets["bind"] += bind_c
             try:
-                emulate(m)
+                if inj is not None:
+                    inj.fire("decode", mn)
+                decode_cache.hits += 1
+                stats.decode_hits += 1
+                cost.cycles += decode_c
+                buckets["decode"] += decode_c
+                if inj is not None:
+                    inj.fire("bind", mn)
+                bind_cache.hits += 1
+                for refresh in refreshers:
+                    refresh(m)
+                stats.bind_hits += 1
+                cost.cycles += bind_c
+                buckets["bind"] += bind_c
             except RECOVERABLE_FAULTS as exc:
-                self._degrade(m, ins, getattr(exc, "stage", "emulate"), exc)
+                degrade(m, ins, exc.stage, exc)
                 maybe_collect(m)
                 return True
-            cost.cycles += emulate_c
-            buckets["emulate"] += emulate_c
-            regs.rip = nxt
-            maybe_collect(m)
+            serve(flags, hit_path)
             return True
 
-        m.site_kernels[ins.addr] = (ins, kernel)
+        self._install_kernel(m, ins, kernel)
+        return serve
 
-    def _build_correctness_kernel(self, machine: "Machine",
-                                  frame: TrapFrame) -> None:
-        """The kernel of a correctness site: delivery, the handler
-        (:meth:`_on_correctness_trap`) and the re-execution of the
-        original instruction."""
-        site = machine.binary.text_map.get(frame.rip)
-        original = frame.instruction
-        if (site is None or site.mnemonic != "fpvm_trap"
-                or site.payload.get("original") is not original
-                or not self._kernel_site(machine, site)):
-            return
-        m = machine
-        plat = m.cost.platform
-        hw, kd = m.delivery_split()
-        step = m.reexec_step(original)
-        base_c = step._C
-        original_body = step._body
-        cost = m.cost
-        buckets = cost.buckets
-        stats = self.stats
-        detail = site.payload
-        if self._box_free(detail, site.addr):
-            handler_c, demote = plat.analysis_fast_path_cycles, None
-        else:
-            handler_c = plat.correctness_handler_cycles
-            demote = self._demoter(m, original, detail)
-        maybe_collect = self.gc.maybe_collect
-
-        def kernel() -> None:
-            cost.cycles += hw
-            buckets["correctness"] += hw
-            cost.cycles += kd
-            buckets["correctness"] += kd
-            stats.correctness_traps += 1
-            cost.cycles += handler_c
-            buckets["correctness_handler"] += handler_c
-            if demote is None:
-                stats.analysis_short_circuits += 1
-            else:
-                demote()
-                maybe_collect(m)
-            cost.cycles += base_c
-            buckets["base"] += base_c
-            original_body()
-
-        m.site_kernels[site.addr] = (site, kernel)
+    def _install_kernel(self, machine: "Machine", site: Instruction,
+                        kernel: Callable) -> None:
+        """Serve later traps at ``site`` with ``kernel`` — unless the
+        binary holds another instruction there (the original a patched
+        site re-executes shares its address)."""
+        if machine.binary.text_map.get(site.addr) is site:
+            machine.site_kernels[site.addr] = (site, kernel)
 
     def _on_gc_sweep(self, freed) -> None:
         # handles are free-listed, so a reclaimed one can recur with
@@ -541,8 +478,8 @@ class FPVM:
             # compiled step's own fault exit already did this; covers
             # degradations reached through other paths too)
             self.jit.invalidate_site(machine, ins.addr, "degrade")
-        # a degraded site stays on the generic path from here on
-        self._drop_kernel(machine, ins.addr)
+        # the site's next trap builds a fresh kernel
+        machine.site_kernels.pop(ins.addr, None)
         if self.tracejit is not None:
             # same contract for loop traces: a degraded instruction
             # inside a trace invalidates the whole trace
@@ -727,9 +664,7 @@ class FPVM:
 
     def _on_correctness_trap(self, machine: "Machine",
                              frame: TrapFrame) -> None:
-        self._serve_correctness_trap(machine, frame)
-        if self._kernels_on:
-            self._build_correctness_kernel(machine, frame)
+        self._build_correctness_kernel(machine, frame)()
 
     def _box_free(self, detail: dict, addr: int) -> bool:
         """Did the liveness refinement prove this sink box-free?"""
@@ -737,50 +672,78 @@ class FPVM:
                 and not detail.get("demote_xmm")
                 and addr in self._box_free_sites)
 
-    def _serve_correctness_trap(self, machine: "Machine",
-                                frame: TrapFrame) -> None:
-        self.stats.correctness_traps += 1
-        plat = machine.cost.platform
+    def _build_correctness_kernel(self, machine: "Machine",
+                                  frame: TrapFrame) -> Callable[[], None]:
+        """Build the kernel of a correctness site and return its handler
+        stage: count, charge, then demote what the original is about to
+        consume (a trace sink adds a CorrectnessTrapEvent).  The kernel
+        adds delivery in front and the original's re-execution after,
+        and takes the site's later traps in every mode."""
+        m = machine
+        original = frame.instruction
         detail = frame.detail or {}
-        kind = detail.get("kind", "sink")
-        if self._box_free(detail, frame.instruction.addr):
+        plat = m.cost.platform
+        cost = m.cost
+        charge = cost.charge
+        stats = self.stats
+        maybe_collect = self.gc.maybe_collect
+        if self._box_free(detail, original.addr):
             # the liveness refinement proved this load box-free; the
             # handler is a set lookup, no demotion scan
-            self.stats.analysis_short_circuits += 1
-            machine.cost.charge(plat.analysis_fast_path_cycles,
-                                "correctness_handler")
-            return
-        machine.cost.charge(plat.correctness_handler_cycles,
-                            "correctness_handler")
-        demotions_before = (self.stats.correctness_demotions
-                            + self.stats.call_site_demotions)
-        if kind == "sink":
-            self._demote_sink_operands(machine, frame.instruction,
-                                       detail.get("demote_xmm", False))
-        elif kind == "call_demote":
-            self._demote_fp_arg_registers(machine, detail.get("nfp", 8))
-        else:  # pragma: no cover - patcher only emits the two kinds
-            raise MachineError(f"unknown correctness trap kind {kind!r}")
-        if self.trace is not None:
-            self.trace.emit(CorrectnessTrapEvent(
-                cycles=machine.cost.cycles,
-                addr=frame.instruction.addr,
-                mnemonic=frame.instruction.mnemonic,
-                trap_kind=kind,
-                demotions=(self.stats.correctness_demotions
-                           + self.stats.call_site_demotions
-                           - demotions_before),
-            ))
-        self.gc.maybe_collect(machine)
+            handler_c, demote = plat.analysis_fast_path_cycles, None
+        else:
+            handler_c = plat.correctness_handler_cycles
+            demote = self._demoter(m, original, detail)
+            if self.trace is not None:
+                demote = self._emitting_demoter(m, original, detail, demote)
+
+        def handle() -> None:
+            stats.correctness_traps += 1
+            charge(handler_c, "correctness_handler")
+            if demote is None:
+                stats.analysis_short_circuits += 1
+            else:
+                demote()
+                maybe_collect(m)
+
+        site = m.binary.text_map.get(frame.rip)
+        if (site is None or site.mnemonic != "fpvm_trap"
+                or site.payload.get("original") is not original):
+            return handle
+        hw, kd = m.delivery_split()
+        step = m.reexec_step(original)
+        base_c = step._C
+        original_body = step._body
+        buckets = cost.buckets
+
+        def kernel() -> None:
+            cost.cycles += hw
+            buckets["correctness"] += hw
+            cost.cycles += kd
+            buckets["correctness"] += kd
+            handle()
+            cost.cycles += base_c
+            buckets["base"] += base_c
+            original_body()
+
+        self._install_kernel(m, site, kernel)
+        return handle
 
     def _demoter(self, machine: "Machine", ins: Instruction,
                  detail: dict) -> Callable[[], None]:
-        """A correctness kernel's demotion: what
-        :meth:`_serve_correctness_trap` demotes at ``ins``, with the
-        sink operands' effective addresses compiled once."""
-        if detail.get("kind", "sink") == "call_demote":
+        """What a correctness trap at ``ins`` demotes, with the sink
+        operands' effective addresses compiled once.
+
+        A ``sink`` demotes the memory words ``ins`` reads and, with
+        ``demote_xmm`` (the bitwise-FP/movq holes), its XMM lanes; a
+        ``call_demote`` demotes the FP argument registers.
+        """
+        kind = detail.get("kind", "sink")
+        if kind == "call_demote":
             nfp = detail.get("nfp", 8)
             return lambda: self._demote_fp_arg_registers(machine, nfp)
+        if kind != "sink":  # pragma: no cover - patcher emits two kinds
+            raise MachineError(f"unknown correctness trap kind {kind!r}")
         eas = tuple(_ea_closure(machine, op) for op in _sink_mems(ins))
         xmm = detail.get("demote_xmm", False)
         demote_word = self._demote_sink_word
@@ -792,17 +755,32 @@ class FPVM:
                 demote_word(machine, ea() & ~7)
         return demote
 
-    def _demote_sink_operands(self, machine: "Machine", ins: Instruction,
-                              demote_xmm: bool = False) -> None:
-        """Demote the words a sink instruction is about to consume.
+    def _emitting_demoter(self, machine: "Machine", ins: Instruction,
+                          detail: dict,
+                          demote: Callable[[], None]) -> Callable[[], None]:
+        """``demote`` followed by the trap's CorrectnessTrapEvent."""
+        stats = self.stats
+        emit = self.trace.emit
+        kind = detail.get("kind", "sink")
 
-        ``demote_xmm`` handles the bitwise-FP/movq holes: the operand
-        that may hold a box is an XMM register lane, not memory.
-        """
-        if demote_xmm:
-            self._demote_sink_xmm(machine, ins)
-        for op in _sink_mems(ins):
-            self._demote_sink_word(machine, machine.ea(op) & ~7)
+        def demote_and_emit() -> None:
+            before = stats.correctness_demotions + stats.call_site_demotions
+            demote()
+            emit(CorrectnessTrapEvent(
+                cycles=machine.cost.cycles,
+                addr=ins.addr,
+                mnemonic=ins.mnemonic,
+                trap_kind=kind,
+                demotions=(stats.correctness_demotions
+                           + stats.call_site_demotions - before),
+            ))
+        return demote_and_emit
+
+    def _emit_demotion(self, machine: "Machine", location: str, reason: str,
+                       bits: int, demoted: int) -> None:
+        self.trace.emit(DemotionEvent(
+            cycles=machine.cost.cycles, location=location, reason=reason,
+            handle=self.codec.decode(bits), bits=demoted))
 
     def _demote_sink_xmm(self, machine: "Machine", ins: Instruction) -> None:
         from repro.isa.operands import Xmm
@@ -816,13 +794,9 @@ class FPVM:
                         machine.regs.xmm[op.index][lane] = demoted
                         self.stats.correctness_demotions += 1
                         if self.trace is not None:
-                            self.trace.emit(DemotionEvent(
-                                cycles=machine.cost.cycles,
-                                location=f"xmm{op.index}[{lane}]",
-                                reason="sink",
-                                handle=self.codec.decode(bits),
-                                bits=demoted,
-                            ))
+                            self._emit_demotion(
+                                machine, f"xmm{op.index}[{lane}]", "sink",
+                                bits, demoted)
 
     def _demote_sink_word(self, machine: "Machine", word_addr: int) -> None:
         try:
@@ -834,13 +808,8 @@ class FPVM:
             machine.memory.write(word_addr, 8, demoted)
             self.stats.correctness_demotions += 1
             if self.trace is not None:
-                self.trace.emit(DemotionEvent(
-                    cycles=machine.cost.cycles,
-                    location=f"mem:{word_addr:#x}",
-                    reason="sink",
-                    handle=self.codec.decode(bits),
-                    bits=demoted,
-                ))
+                self._emit_demotion(machine, f"mem:{word_addr:#x}", "sink",
+                                    bits, demoted)
 
     def _demote_fp_arg_registers(self, machine: "Machine", nfp: int) -> None:
         """Demote boxed xmm0..xmm{nfp-1} before an external call."""
@@ -865,13 +834,8 @@ class FPVM:
                 machine.regs.set_xmm_lo(i, demoted)
                 self.stats.call_site_demotions += 1
                 if self.trace is not None:
-                    self.trace.emit(DemotionEvent(
-                        cycles=machine.cost.cycles,
-                        location=f"xmm{i}[0]",
-                        reason="call",
-                        handle=self.codec.decode(bits),
-                        bits=demoted,
-                    ))
+                    self._emit_demotion(machine, f"xmm{i}[0]", "call",
+                                        bits, demoted)
 
     # ------------------------------------------------------------------ #
     # libm / output interposition (the LD_PRELOAD shim, Figs. 4/5/8)      #
@@ -976,13 +940,8 @@ class FPVM:
                 self.stats.printf_demotions += 1
                 demoted = self.emulator.demote_bits(bits)
                 if self.trace is not None:
-                    self.trace.emit(DemotionEvent(
-                        cycles=machine.cost.cycles,
-                        location="printf-arg",
-                        reason="printf",
-                        handle=self.codec.decode(bits),
-                        bits=demoted,
-                    ))
+                    self._emit_demotion(machine, "printf-arg", "printf",
+                                        bits, demoted)
                 if self.printf_shadow_digits is not None:
                     v = self.store.get(self.codec.decode(bits))
                     return self.arith.to_decimal_str(
@@ -1009,13 +968,8 @@ class FPVM:
                 demoted = self.emulator.demote_bits(bits)
                 machine.memory.write(ptr + off, 8, demoted)
                 if self.trace is not None:
-                    self.trace.emit(DemotionEvent(
-                        cycles=machine.cost.cycles,
-                        location=f"mem:{ptr + off:#x}",
-                        reason="fwrite",
-                        handle=self.codec.decode(bits),
-                        bits=demoted,
-                    ))
+                    self._emit_demotion(machine, f"mem:{ptr + off:#x}",
+                                        "fwrite", bits, demoted)
         self._saved_externs[
             machine.binary.imports["fwrite"]
         ](machine)

@@ -89,7 +89,8 @@ class Machine:
         self.patch_handler: Callable[["Machine", Instruction], bool] | None = None
         #: trap-delivery deployment scenario (§6): user/kernel/hrt/pipeline
         self.delivery_scenario = "user"
-        #: addr -> (instruction, kernel): FPVM's per-site trap kernels.
+        #: addr -> (instruction, kernel): FPVM's per-site trap kernels,
+        #: built at each site's first trap and serving every later one.
         #: An FP site's kernel takes the flags once _fp_event finds a
         #: fault pending and delivers it; a correctness site's takes
         #: nothing and does the whole trap (predecode._make_fpvm_trap).
@@ -141,12 +142,15 @@ class Machine:
 
         Compiled steps bake the hook decision in at compile time, so
         attaching after construction recompiles the program with
-        oracle probes threaded into each relevant instruction.
+        oracle probes threaded into each relevant instruction.  Site
+        kernels hold the re-executed steps they were built with, so
+        they go too: each site's next trap rebuilds its kernel.
         """
         self.oracle = oracle
         self._code = compile_program(self)
         self._blocks = compile_blocks(self, self._code)
         self._reexec.clear()
+        self.site_kernels.clear()
 
     # ------------------------------------------------------------------ #
     # stack & operand plumbing                                            #
@@ -256,7 +260,8 @@ class Machine:
 
         Returns True if a fault was delivered (instruction must NOT
         commit; the handler owns RIP).  When FPVM installed a site
-        kernel for ``ins``, the kernel delivers the fault.
+        kernel for ``ins``, the kernel delivers the fault; otherwise
+        the handler serves the site's first trap.
         """
         pending = self.mxcsr.record(flags)
         if not pending:

@@ -64,15 +64,15 @@ def mem(base=None, disp=0, index=None, scale=1, size=8):
 
 
 # --------------------------------------------------------------------------- #
-# per-site trap kernels on and off                                             #
+# what a run computes and charges                                              #
 # --------------------------------------------------------------------------- #
 
 def kernel_observed(session, res) -> dict:
     """Everything an FPVM run computes and charges, for comparing runs
-    with trap kernels on and off: outputs, counts, cycles and every
-    bucket (float ``==``), final registers and MXCSR, every FPVMStats
-    field, the emulator and cache counters and the GC pass records
-    (their host latency aside)."""
+    and pinning them: outputs, counts, cycles and every bucket (float
+    ``==``), final registers and MXCSR, every FPVMStats field, the
+    emulator and cache counters and the GC pass records (their host
+    latency aside)."""
     f = session.fpvm
     em = f.emulator
     m = session.machine
@@ -91,20 +91,3 @@ def kernel_observed(session, res) -> dict:
         gc=[(p.alive_before, p.freed, p.alive_after, p.words_scanned,
              p.modeled_cycles) for p in f.gc.passes],
     )
-
-
-def run_with_kernels(target, arith="vanilla", *, on=True, budget=None,
-                     size="test", **kwargs):
-    """Build and run a Session with the trap kernels switched on or off
-    (``repro.fpvm.runtime.SITE_KERNELS``); returns (session, result)."""
-    from repro.fpvm import runtime
-    from repro.session import Session
-
-    saved = runtime.SITE_KERNELS
-    runtime.SITE_KERNELS = on
-    try:
-        s = Session(target, arith, size=size, **kwargs)
-        res = s.run(budget)
-    finally:
-        runtime.SITE_KERNELS = saved
-    return s, res

@@ -1,6 +1,8 @@
 """Unit tests for the bigfloat (MPFR-substitute) core arithmetic."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +138,50 @@ class TestHighPrecision:
         # no overflow in the representation: value is exactly 2^200000
         assert sq.exp + sq.mant.bit_length() - 1 == 200000
         assert sq.to_float() == math.inf  # but demotion saturates
+
+
+def _round_rne(x: Fraction, prec: int) -> Fraction:
+    """``x`` rounded to ``prec`` significant bits, ties to even."""
+    sign = -1 if x < 0 else 1
+    x = abs(x)
+    e = x.numerator.bit_length() - x.denominator.bit_length() - prec
+    while x >= Fraction(2) ** (e + prec):
+        e += 1
+    while x < Fraction(2) ** (e + prec - 1):
+        e -= 1
+    q, r = divmod(x / Fraction(2) ** e, 1)
+    if r > Fraction(1, 2) or (r == Fraction(1, 2) and q % 2):
+        q += 1
+    return sign * q * Fraction(2) ** e
+
+
+def _exact(v) -> Fraction:
+    return (-1 if v.sign else 1) * v.mant * Fraction(2) ** v.exp
+
+
+class TestMixedWidthDivision:
+    """Operands of other widths than the context (``bf_asin`` divides a
+    ``ctx``-width value by a wider one) against a ``Fraction``
+    reference: the quotient must carry at least ``prec`` bits before it
+    rounds, whatever the divisor's width."""
+
+    @pytest.mark.parametrize("prec", [53, 200])
+    def test_div_rounds_to_nearest_even(self, prec):
+        rng = random.Random(prec)
+        ctx = BigFloatContext(prec)
+        wrong = []
+        for _ in range(300):
+            wa, wb = rng.randint(2, 2 * prec), rng.randint(2, 2 * prec)
+            a = BigFloatContext(wa).from_mant_exp(
+                rng.randint(0, 1), rng.getrandbits(wa) | 1,
+                rng.randint(-50, 50))
+            b = BigFloatContext(wb).from_mant_exp(
+                rng.randint(0, 1), rng.getrandbits(wb) | 1,
+                rng.randint(-50, 50))
+            want = _round_rne(_exact(a) / _exact(b), prec)
+            if _exact(ctx.div(a, b)) != want:
+                wrong.append((wa, wb))
+        assert wrong == []
 
 
 class TestCompare:

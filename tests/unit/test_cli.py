@@ -103,6 +103,18 @@ class TestCommands:
         assert err.count("\n") == 1 and missing in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "lorenz", "--arith", "bogus:3"],
+        ["chaos", "--workloads", "lorenz", "--ariths", "bogus:3"],
+    ])
+    def test_bad_arith_spec_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'bogus:3'" in err
+        assert err.startswith("repro: error: ")
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -7,15 +7,18 @@ bucket, final registers and MXCSR, every FPVMStats field, the emulator
 and cache counters, the GC pass records) is hashed.  ``ndjson`` hashes
 the run's NDJSON trace instead, with the host-time fields dropped and
 the analysis cache cleared first, so the ``cache_hit`` flags are those
-of a first run.  ``oracle`` runs unpatched with a
+of a first run, under the default mode and each of :data:`NDJSON_CONFIGS`.
+The ``compiled`` configurations run the registry build with every
+trap-capable FP site wrapped in a §3.4 compiler check.  ``oracle`` runs unpatched with a
 :class:`~repro.analysis.oracle.SoundnessOracle` attached and adds its
 observations.  Each registry program also runs once under
 ``sanitize:200``, adding the sanitizer's per-site records in
 insertion order.
 
 Every digest in ``trap_pins.json`` was recorded before the trap path
-was rewritten to serve every trap from a site kernel, so they pin that
-the rewrite changed host time only.  Tier 1 runs five pairs that reach
+was rewritten to serve every trap from a site kernel, and the digests
+of the patch, static and compiled configurations before patched sites
+ran kernels too, so they pin that each rewrite changed host time only.  Tier 1 runs five pairs that reach
 every kernel kind: binops, sqrt, compares, f64->int conversions
 (nas_is) and correctness sites, box-free and demoting (enzo).  The
 whole registry runs under ``-m slow``.
@@ -38,12 +41,13 @@ import pytest
 
 from repro.analysis import clear_cache
 from repro.analysis.oracle import SoundnessOracle
+from repro.compiler import instrument_fp_sites
 from repro.errors import MachineError
 from repro.faults import FaultPlan, FaultRule
 from repro.fpvm.runtime import FPVMConfig
 from repro.session import Session
 from repro.trace.sinks import NDJSONSink, RingBufferSink
-from repro.workloads import WORKLOADS
+from repro.workloads import WORKLOADS, get_workload
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from conftest import kernel_observed  # noqa: E402
@@ -88,6 +92,23 @@ CONFIGS = {
                                                   trace_jit_threshold=8)},
     "patch": lambda: {"config": FPVMConfig(mode="trap-and-patch")},
     "static": lambda: {"config": FPVMConfig(mode="static")},
+    "faults3+patch": lambda: {"config": FPVMConfig(
+        mode="trap-and-patch", faults=_seeded_plan(3))},
+    "faults3+static": lambda: {"config": FPVMConfig(
+        mode="static", faults=_seeded_plan(3))},
+}
+
+#: configurations whose NDJSON trace is hashed too (beside the default)
+NDJSON_CONFIGS = {
+    "patch": lambda: FPVMConfig(mode="trap-and-patch"),
+    "static": lambda: FPVMConfig(mode="static"),
+    "jit": lambda: FPVMConfig(jit_threshold=4),
+}
+
+#: configurations of the §3.4 compiler-instrumented build
+COMPILED_CONFIGS = {
+    "compiled": lambda: FPVMConfig(),
+    "compiled+static": lambda: FPVMConfig(mode="static"),
 }
 
 
@@ -113,11 +134,12 @@ def _observed(s: Session) -> dict:
         return kernel_observed(s, crashed)
 
 
-def _ndjson(program: str, arith: str) -> str:
+def _ndjson(program: str, arith: str,
+            config: FPVMConfig | None = None) -> str:
     clear_cache()
     buf = io.StringIO()
     sink = NDJSONSink(buf)
-    s = Session(program, arith, size="test", trace=sink)
+    s = Session(program, arith, size="test", config=config, trace=sink)
     res = s.run()
     sink.close()
     events = []
@@ -139,11 +161,26 @@ def _oracle(program: str, arith: str) -> str:
     return _digest([observed, obs])
 
 
+def _compiled(program: str):
+    """A builder of ``program`` at size ``test`` with every trap-capable
+    FP site wrapped in a compiler check (§3.4)."""
+    def build():
+        binary = get_workload(program).build("test")
+        instrument_fp_sites(binary)
+        return binary
+    return build
+
+
 def observe(program: str, arith: str) -> dict[str, str]:
     """Every configuration's digest for one (program, arith) pair."""
     out = {"ndjson": _ndjson(program, arith)}
+    for name, config in NDJSON_CONFIGS.items():
+        out[f"ndjson+{name}"] = _ndjson(program, arith, config())
     for name, kwargs in CONFIGS.items():
         s = Session(program, arith, size="test", **kwargs())
+        out[name] = _digest(_observed(s))
+    for name, config in COMPILED_CONFIGS.items():
+        s = Session(_compiled(program), arith, config=config())
         out[name] = _digest(_observed(s))
     out["oracle"] = _oracle(program, arith)
     return out

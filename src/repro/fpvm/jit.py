@@ -50,8 +50,7 @@ from repro.isa.operands import Xmm
 from repro.fpvm.binding import XmmLoc
 from repro.fpvm.nanbox import PAYLOAD_MASK
 from repro.machine.costmodel import instruction_cost
-from repro.machine.predecode import (_SCALAR_OPS, _f64_reader,
-                                     rebuild_blocks_around)
+from repro.machine.predecode import _SCALAR_OPS, _f64_reader
 from repro.trace.events import JitCompileEvent, JitHitEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,8 +101,6 @@ class TrapSiteJIT:
         self.box_free_sites: frozenset[int] = frozenset()
         #: addr -> (stable-shape trap count, last decoded identity)
         self._counts: dict[int, tuple[int, object]] = {}
-        #: addr -> the interpreter step the compile displaced
-        self._original: dict[int, object] = {}
         #: head addr -> chain of sites in its fused kernel
         self.fused: dict[int, list[JitSite]] = {}
 
@@ -156,9 +153,7 @@ class TrapSiteJIT:
         else:
             site.step = self._make_chain_kernel(m, [site])
         self.sites[site.addr] = site
-        self._original[site.addr] = m._code[site.addr]
-        m._code[site.addr] = site.step
-        rebuild_blocks_around(m, site.addr)
+        m.install_step(site.addr, site.step)
         self._counts.pop(site.addr, None)
         self.fpvm.stats.jit_sites_compiled += 1
         if self.fpvm.trace is not None:
@@ -293,8 +288,7 @@ class TrapSiteJIT:
         self.fused[head_addr] = chain
         for s in chain:
             s.fused_head = head_addr
-        m._code[head_addr] = kernel
-        rebuild_blocks_around(m, head_addr)
+        m.install_step(head_addr, kernel)
         self.fpvm.stats.jit_fused_kernels += 1
         if self.fpvm.trace is not None:
             self.fpvm.trace.emit(JitCompileEvent(
@@ -314,8 +308,7 @@ class TrapSiteJIT:
             s.fused_head = None
         head_site = self.sites.get(head_addr)
         if head_site is not None:
-            m._code[head_addr] = head_site.step
-            rebuild_blocks_around(m, head_addr)
+            m.install_step(head_addr, head_site.step)
 
     def _make_chain_kernel(self, m: "Machine", chain: list[JitSite]):
         """Compile a chain of binop/sqrt sites on one destination
@@ -499,10 +492,7 @@ class TrapSiteJIT:
             self._unfuse(m, site.fused_head)
             if chain is not None:
                 survivors = [s for s in chain if s.addr != addr]
-        orig = self._original.pop(addr, None)
-        if orig is not None:
-            m._code[addr] = orig
-            rebuild_blocks_around(m, addr)
+        m.install_step(addr, None)
         self._counts.pop(addr, None)
         self.fpvm.stats.jit_invalidations += 1
         if self.fpvm.trace is not None:

@@ -147,6 +147,40 @@ def instruction_cost(platform: Platform, ins) -> float:
     return cost
 
 
+# What one FP event costs at each kind of site, bucket by bucket.  Every
+# execution first retires its instruction (``base``: the
+# ``instruction_cost`` of what sits at the address).
+#
+# * trap site (§3.1): a faulting execution adds ``hw_delivery`` +
+#   ``kernel_delivery`` (``scenario_delivery``), ``decode``
+#   (``decode_hit_cycles``, or ``decode_miss_cycles`` on a site's first
+#   trap), ``bind`` (``bind_hit_cycles``, or ``bind_cycles``) and
+#   ``emulate`` (``emulate_base_cycles`` + the port's ``op_cycles`` per
+#   lane).  A clean execution adds nothing.
+# * patched site (§3.2 trap-and-patch and §3.3 static: ``fpvm_patch``,
+#   base 1 issue slot): every execution adds ``patch_check``
+#   (:func:`check_cycles`) and the original's ``base`` for the masked
+#   attempt; a failed check adds ``emulate`` as above, with no delivery
+#   and no decode/bind charge.  A §3.4 compiler-emitted check is the
+#   same row at ``compiler_check_cycles``.
+# * JIT site (a compiled trap site): every execution adds ``jit``
+#   (``jit_check_cycles``); an emulated one adds ``jit``
+#   (``jit_check_cycles`` + ``jit_emulate_cycles``) and ``emulate`` (the
+#   port's ``op_cycles`` alone).
+
+
+def check_cycles(platform: Platform, patch) -> float:
+    """One execution's ``patch_check`` at patched site ``patch``."""
+    if patch.payload.get("compiler"):
+        # §3.4: the check was emitted and optimized by the compiler
+        return platform.compiler_check_cycles
+    if patch.payload["original"].length < 5:
+        # patch shorter than a rel32 call: needs a spanning trampoline
+        # (paper §3.2), modeled as an extra indirection
+        return platform.patch_check_cycles + 8
+    return platform.patch_check_cycles
+
+
 @dataclass
 class CostModel:
     """Mutable cycle accumulator attached to a running machine."""

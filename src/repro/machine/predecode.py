@@ -31,7 +31,8 @@ full state; ``tests/unit/test_predecode.py`` pins the semantics by hand.
 
 Binary patching (trap-and-patch §3.2, the static patcher §4.2) swaps
 instructions at runtime; ``Binary.replace_instruction`` notifies the
-machine, which recompiles the single affected address.
+machine, whose ``install_step`` recompiles the single affected address
+and the superblocks around it.
 """
 
 from __future__ import annotations
@@ -305,8 +306,8 @@ def compile_blocks(m: "Machine", steps: dict[int, Step]) -> dict[int, Step]:
 def rebuild_blocks_around(m: "Machine", addr: int) -> None:
     """Recompile every superblock whose chain contains ``addr``.
 
-    Called after ``Binary.replace_instruction``: blocks containing the
-    patched address start at it or at any fall-through predecessor, so
+    Called by ``Machine.install_step``: blocks containing the replaced
+    address start at it or at any fall-through predecessor, so
     walk the contiguous block-safe run backwards and rebuild forward
     from each address in it.
     """
@@ -1002,18 +1003,27 @@ def _make_fpvm_trap(m, ins):
 
 
 def _make_fpvm_patch(m, ins):
-    """A trap-and-patch site (§3.2): inline check instead of a fault."""
+    """A patched site (§3.2-3.4): an inline check instead of a fault.
+
+    Without an installed handler the check is a transparent execution
+    of the original.  The site kernel FPVM builds at the site's first
+    execution does every later one.
+    """
     original = ins.payload["original"]
     execute = m.execute
-    regs = m.regs
-    nxt = ins.next_addr
+    kernels = m.site_kernels
+    addr = ins.addr
 
     def body():
+        entry = kernels.get(addr)
+        if entry is not None and entry[0] is ins:
+            entry[1]()
+            return
         handler = m.patch_handler
         if handler is None:
             execute(original)
-        elif not handler(m, ins):
-            regs.rip = nxt
+        else:
+            handler(m, ins)
     return body
 
 

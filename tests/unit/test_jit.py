@@ -115,14 +115,23 @@ class TestFuse:
         assert r.fpvm.stats.jit_invalidations == 1
 
     def test_invalidate_all_restores_interpreter(self):
-        r = _run(_PAIR_SRC, jit_threshold=4)
-        jit, m = r.fpvm.jit, r.machine
-        originals = dict(jit._original)
+        """After invalidate_all the former sites fault again through
+        the interpreter's steps, and the run's output is unchanged."""
+        s = Session(lambda: compile_source(_PAIR_SRC), VanillaArithmetic(),
+                    config=FPVMConfig(jit_threshold=4))
+        jit, m = s.fpvm.jit, s.machine
+        while not jit.fused:
+            m.step()
         jit.invalidate_all(m, "test")
         assert jit.sites == {}
         assert jit.fused == {}
-        for addr, step in originals.items():
-            assert m._code[addr] is step
+        jit.threshold = 10 ** 9  # no recompile for the rest of the run
+        hits, traps = s.fpvm.stats.jit_hits, m.fp_trap_count
+        res = s.run()
+        assert s.fpvm.stats.jit_hits == hits
+        # both sites trap on every remaining iteration
+        assert m.fp_trap_count - traps >= 2 * 50
+        assert res.stdout == _run(_PAIR_SRC).stdout
 
 
 class TestMemoStaleness:

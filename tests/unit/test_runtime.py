@@ -232,40 +232,35 @@ class TestTrapAndPatch:
     def test_patch_fast_path_counts(self):
         """A patched site later fed exact operands takes the fast path."""
         def body(a):
-            # first pass: 1/3 (traps, gets patched)
-            a.emit("movsd", XMM0, mem(disp=lbl("one")))
-            a.emit("divsd", XMM0, mem(disp=lbl("three")))
-            # overwrite source so the same site divides 4/2 exactly
-            a.emit("movsd", XMM0, mem(disp=lbl("four")))
-            a.emit("mov", RBX, imm(3))
-            a.label("top")
-            a.emit("movsd", XMM0, mem(disp=lbl("four")))
-            a.emit("jmp", lbl("site"))
-            a.label("site")
-            a.emit("dec", RBX)
-            a.emit("jne", lbl("top"))
-
-        # simpler: directly exercise _on_patch_site via a crafted loop
-        def body2(a):
             a.emit("mov", RBX, imm(4))
             a.label("top")
-            a.emit("movsd", XMM0, mem(disp=lbl("src")))
-            a.emit("divsd", XMM0, mem(disp=lbl("den")))
-            a.emit("movsd", mem(disp=lbl("src")), XMM0)
+            a.emit("movsd", XMM0, mem(disp=lbl("num"), index=RBX, scale=8))
+            a.emit("divsd", XMM0, mem(disp=lbl("den"), index=RBX, scale=8))
+            a.emit("movsd", mem(disp=lbl("out"), index=RBX, scale=8), XMM0)
             a.emit("dec", RBX)
             a.emit("jne", lbl("top"))
 
-        binary = asm_program(body2, data=fp_data([("src", 16.0),
-                                                  ("den", 2.0)]))
+        # index 4 first: 1/3 faults and the site is patched; then the
+        # exact 4/4, 6/3 and 8/2
+        nums, dens = (0.0, 4.0, 6.0, 8.0, 1.0), (1.0, 4.0, 3.0, 2.0, 3.0)
+        binary = asm_program(body, data=fp_data(
+            [(f"num{i}" if i else "num", v) for i, v in enumerate(nums)]
+            + [(f"den{i}" if i else "den", v) for i, v in enumerate(dens)]
+            + [(f"out{i}" if i else "out", 0.0) for i in range(5)]))
         m = load_binary(binary)
         fpvm = FPVM(VanillaArithmetic(), FPVMConfig(mode="trap-and-patch"))
         fpvm.install(m)
         m.run()
-        # 16/2=8/2=4/2=2/2: every op exact — no faults at all, and the
-        # site is never even patched
-        assert m.fp_trap_count == 0
-        assert fpvm.stats.patch_sites_installed == 0
-        assert bits_to_f64(m.memory.read(binary.symbols["src"], 8)) == 1.0
+        assert m.fp_trap_count == 1
+        assert fpvm.stats.patch_sites_installed == 1
+        assert fpvm.stats.patch_fast_path == 3
+        assert fpvm.stats.patch_slow_path == 0
+        out = binary.symbols["out"]
+        assert fpvm.codec.is_box(m.memory.read(out + 32, 8))
+        assert [bits_to_f64(m.memory.read(out + 8 * i, 8))
+                for i in (1, 2, 3)] == [1.0, 2.0, 4.0]
+        div = next(i.addr for i in binary.text if i.mnemonic == "fpvm_patch")
+        assert m.site_kernels[div][0] is binary.text_map[div]
 
 
 class TestDemoteAll:

@@ -25,6 +25,5 @@ property.
 
 from repro.arith.posit.adapter import PositArithmetic
 from repro.arith.posit.encoding import PositEnv
-from repro.arith.posit.quire import Quire, quire_dot
 
-__all__ = ["PositArithmetic", "PositEnv", "Quire", "quire_dot"]
+__all__ = ["PositArithmetic", "PositEnv"]

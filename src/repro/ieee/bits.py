@@ -243,12 +243,3 @@ def decompose32(b: int) -> tuple[int, int, int]:
     return (s, f | (1 << 23), e - F32_EXP_BIAS - 23)
 
 
-def normalize_value(mant: int, exp: int) -> tuple[int, int]:
-    """Canonicalize ``mant * 2**exp`` so that ``mant`` is odd (or zero).
-
-    Two exact values are equal iff their canonical forms are equal.
-    """
-    if mant == 0:
-        return (0, 0)
-    tz = (mant & -mant).bit_length() - 1
-    return (mant >> tz, exp + tz)

@@ -114,11 +114,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             B.compose64(0, (1 << 54) + 1, 0)  # 55 significant bits
 
-    def test_normalize_value(self):
-        assert B.normalize_value(8, 0) == (1, 3)
-        assert B.normalize_value(12, 2) == (3, 4)
-        assert B.normalize_value(0, 7) == (0, 0)
-
     def test_decompose32(self):
         s, m, e = B.decompose32(B.f32_to_bits(1.5))
         assert s == 0 and m * 2.0**e == 1.5

@@ -76,12 +76,6 @@ class Binary:
         except KeyError:
             raise AssemblyError(f"no instruction at {addr:#x}") from None
 
-    def import_name_at(self, addr: int) -> str | None:
-        for name, a in self.imports.items():
-            if a == addr:
-                return name
-        return None
-
     def content_hash(self) -> str:
         """Stable digest of the program content.
 

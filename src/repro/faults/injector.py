@@ -11,15 +11,17 @@ interleave, and campaign tables are reproducible bit-for-bit.
 Stages map onto the named phases of the trap-and-emulate pipeline
 (paper §4.1) plus the protective actions around it:
 
-=================  ======================================================
-``decode``         instruction → FPVMOp flattening fails
-``bind``           operand templates → locations fails
-``emulate``        the arithmetic port raises mid-operation
-``gc_sweep``       the conservative collector skips its sweep phase
-``shadow_lookup``  a NaN-box handle misses the shadow table (dangling)
-``nanbox_corrupt`` a bit flip lands in the 51-bit box payload
-``extern_demote``  the pre-extern-call register demotion is skipped
-=================  ======================================================
+==================  =====================================================
+``decode``          instruction → FPVMOp flattening fails
+``bind``            operand templates → locations fails
+``emulate``         the arithmetic port raises mid-operation
+``gc_sweep``        the conservative collector skips its sweep phase
+``shadow_lookup``   a NaN-box handle misses the shadow table (dangling)
+``nanbox_corrupt``  a bit flip lands in the 51-bit box payload; the
+                    handle dangles (a universal NaN) or names another
+                    live cell, whose value is read undetected
+``extern_demote``   the pre-extern-call register demotion is skipped
+==================  =====================================================
 
 Probes are host-side only: evaluating a rule charges no modeled cycles,
 so a zero-rule plan is bit-identical (instructions, cycles, stdout) to

@@ -156,9 +156,11 @@ class Emulator:
             inj = self.injector
             if inj is not None:
                 if inj.fires("nanbox_corrupt"):
-                    # bit flip in the 51-bit key: the corrupted handle
-                    # is (almost surely) dangling and degrades to a
-                    # universal NaN below — NaN-space ownership at work
+                    # bit flip in the 51-bit key.  Handles are small
+                    # free-listed integers, so a flip of a high bit
+                    # dangles and reads as a universal NaN below, but a
+                    # flip of a low bit can name another live cell,
+                    # whose value is returned undetected
                     from repro.fpvm.nanbox import PAYLOAD_BITS
 
                     bits ^= 1 << inj.rng("nanbox_corrupt").randrange(

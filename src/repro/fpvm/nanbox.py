@@ -29,7 +29,6 @@ from repro.ieee.bits import (
     F64_EXP_MASK,
     F64_QNAN_BIT,
     F64_SIGN_BIT,
-    is_snan64,
 )
 
 #: payload capacity (bits 0..50 of the fraction; bit 51 is the quiet bit)
@@ -76,19 +75,6 @@ class NaNBoxCodec:
     @staticmethod
     def decode(bits: int) -> int:
         """Extract the candidate handle from a signaling-NaN pattern."""
-        return bits & PAYLOAD_MASK
-
-    @classmethod
-    def decode_checked(cls, bits: int) -> int:
-        """Like :meth:`decode` but enforces the encode contract.
-
-        Raises :class:`~repro.errors.NanBoxError` when ``bits`` is not
-        a signaling-NaN box shape at all — the diagnostic spelling used
-        by crash reporting and fault probes, where a non-box argument
-        means the caller's bookkeeping is already corrupt.
-        """
-        if not is_snan64(bits):
-            raise NanBoxError(f"not a NaN-box bit pattern: {bits:#018x}")
         return bits & PAYLOAD_MASK
 
     @staticmethod

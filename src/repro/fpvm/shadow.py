@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.errors import NanBoxError
 from repro.fpvm.nanbox import MAX_HANDLE
 
 
@@ -58,20 +57,6 @@ class ShadowStore:
         """Value for ``handle``, or None if no live cell (universal NaN)."""
         cell = self._cells.get(handle)
         return cell.value if cell is not None else None
-
-    def fetch(self, handle: int) -> Any:
-        """Value for ``handle``; a dangling handle is a contract error.
-
-        The tolerant spelling is :meth:`get` (universal-NaN semantics);
-        this one raises a typed :class:`~repro.errors.NanBoxError`
-        instead of surfacing a bare dict ``KeyError`` on paths where a
-        live cell is a precondition (demotion, serialization, crash
-        reporting).
-        """
-        cell = self._cells.get(handle)
-        if cell is None:
-            raise NanBoxError(f"dangling shadow handle: {handle}")
-        return cell.value
 
     def contains(self, handle: int) -> bool:
         return handle in self._cells

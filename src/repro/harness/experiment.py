@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from repro.errors import ReproError
-from repro.machine.costmodel import PLATFORMS, R815
+from repro.machine.costmodel import PLATFORMS
 from repro.machine.cpu import Machine
 from repro.fpvm.runtime import FPVM, FPVMConfig
 
@@ -53,12 +53,6 @@ class RunResult:
     def ok(self) -> bool:
         """True when the run completed without a contained error."""
         return self.error is None
-
-    @property
-    def seconds_modeled(self) -> float:
-        """Modeled wall-clock on the platform (cycles / frequency)."""
-        plat = self.machine.cost.platform if self.machine else R815
-        return self.cycles / (plat.ghz * 1e9)
 
 
 @dataclass

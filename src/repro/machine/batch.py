@@ -32,10 +32,12 @@ Every vectorized body reproduces the scalar closure's arithmetic
 exactly: integer ops are uint64 column ops with the same masking, FP
 value paths use the host's binary64 hardware exactly like
 :class:`~repro.ieee.softfloat.SoftFPU`, and any lane whose operands
-leave the provably-identical envelope (non-finite operands, narrowing
-NaNs, out-of-range conversions) falls back to the scalar SoftFPU for
-that lane only.  ``tests/property/test_prop_batch.py`` enforces this
-differentially against N scalar Sessions.
+leave the provably-identical envelope (non-finite operands,
+out-of-range conversions) falls back to the scalar SoftFPU for that
+lane only.  ``tests/property/test_prop_batch.py`` enforces this
+differentially against N scalar Sessions.  The vectorized makers cover
+the instructions the fpc compiler emits; at any other instruction every
+lane spills.
 
 Under FPVM (``arith`` is not ``None``) the batch runs the shared
 *integer* prologue natively and spills every lane before the first
@@ -108,7 +110,8 @@ class _PostCommitSpill(Exception):
 # --------------------------------------------------------------------------- #
 
 class _LaneRegs:
-    """RegFile-shaped view of one lane's columns.
+    """RegFile-shaped view of one lane's columns: the accessors the
+    libc/libm extern bindings call.
 
     Setters copy-on-write: vector closures may alias register columns
     (``mov rax, rcx`` shares the array), so a per-lane poke must never
@@ -144,17 +147,6 @@ class _LaneRegs:
     def xmm_lo(self, idx: int) -> int:
         lv = self.lv
         return int(lv.bm.regs.xmm[idx][0][lv.pos])
-
-    def xmm_hi(self, idx: int) -> int:
-        lv = self.lv
-        return int(lv.bm.regs.xmm[idx][1][lv.pos])
-
-    def set_xmm_lo(self, idx: int, v: int) -> None:
-        lv = self.lv
-        pair = lv.bm.regs.xmm[idx]
-        lo = pair[0].copy()
-        lo[lv.pos] = v & _M64
-        pair[0] = lo
 
     def set_xmm(self, idx: int, lo: int, hi: int) -> None:
         lv = self.lv
@@ -439,18 +431,6 @@ def _v_f64_reader(bm: "BatchMachine", op):
     raise MachineError(f"bad FP operand {op!r}")
 
 
-def _v_f32_reader(bm: "BatchMachine", op):
-    if isinstance(op, Xmm):
-        pair = bm.regs.xmm[op.index]
-        m32 = _U(_M32)
-        return lambda: pair[0] & m32
-    if isinstance(op, Mem):
-        ea = _v_ea(bm, op)
-        read = bm.mem.read
-        return lambda: read(ea(), 4)
-    raise MachineError(f"bad FP operand {op!r}")
-
-
 def _v_xmm128_reader(bm: "BatchMachine", op):
     if isinstance(op, Xmm):
         pair = bm.regs.xmm[op.index]
@@ -482,10 +462,6 @@ def _vfp2(fpu: SoftFPU, kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     fa = a.view(np.float64)
     fb = b.view(np.float64)
-    if kind == "min64":
-        return np.where(fa < fb, a, b)   # equal/NaN forward src2, like x64
-    if kind == "max64":
-        return np.where(fa > fb, a, b)
     bad = ~(np.isfinite(fa) & np.isfinite(fb))
     if kind == "add64":
         r = fa + fb
@@ -571,29 +547,6 @@ def _mk_movzx(bm, ins, C):
     return step
 
 
-def _mk_movsx(bm, ins, C):
-    dst, src = ins.operands
-    ssize = src.size if isinstance(src, (Reg, Mem)) else 4
-    r = _v_int_reader(bm, src, ssize)
-    ea, commit = _v_int_writer(bm, dst, dst.size)
-    if ea is not None:
-        return _mk_spill_all(bm, ins, "movsx to memory")
-    bits = 8 * ssize
-    top = _U(1 << (bits - 1))
-    ext = _U(~((1 << bits) - 1) & _M64)
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        v = r()
-        s = np.where(v & top != 0, v | ext, v)
-        retire(C)
-        commit(None, s)
-        regs.rip = nxt
-    return step
-
-
 def _mk_lea(bm, ins, C):
     dst, src = ins.operands
     ea = _v_ea(bm, src)
@@ -608,34 +561,6 @@ def _mk_lea(bm, ins, C):
         v = ea()
         retire(C)
         commit(None, v)
-        regs.rip = nxt
-    return step
-
-
-def _mk_xchg(bm, ins, C):
-    a_op, b_op = ins.operands
-    size = _op_size(ins)
-    ra = _v_int_reader(bm, a_op, size)
-    rb = _v_int_reader(bm, b_op, size)
-    ea_a, wa = _v_int_writer(bm, a_op, size)
-    ea_b, wb = _v_int_writer(bm, b_op, size)
-    regs = bm.regs
-    retire = bm._retire
-    check = bm.mem.check_write
-    nxt = ins.next_addr
-
-    def step():
-        va = ra()
-        vb = rb()
-        aa = ea_a() if ea_a is not None else None
-        ab = ea_b() if ea_b is not None else None
-        if aa is not None:
-            check(aa, size)
-        if ab is not None:
-            check(ab, size)
-        retire(C)
-        wa(aa, vb)
-        wb(ab, va)
         regs.rip = nxt
     return step
 
@@ -773,9 +698,6 @@ def _mk_shift(bm, ins, C):
         if mn == "shl":
             r = a << cnt if maskU is None else (a << cnt) & maskU
             cf = ((a >> (_U(bits) - cnt)) & _U(1)) != 0
-        elif mn == "shr":
-            r = a >> cnt
-            cf = ((a >> (cnt - _U(1))) & _U(1)) != 0
         else:  # sar
             if bits == 64:
                 s = a.view(np.int64)
@@ -834,42 +756,6 @@ def _mk_shift(bm, ins, C):
         retire(C)
         regs.cf = cf
         regs.of = np.zeros(regs.n, bool)
-        _alu_flags_zsp(regs, r, shU)
-        commit(addr, r)
-        regs.rip = nxt
-    return step
-
-
-def _mk_incdec(bm, ins, C):
-    size = _op_size(ins)
-    bits = 8 * size
-    shU = _U(bits - 1)
-    maskU = _U((1 << bits) - 1) if bits < 64 else None
-    rd = _v_int_reader(bm, ins.operands[0], size)
-    ea, commit = _v_int_writer(bm, ins.operands[0], size)
-    regs = bm.regs
-    retire = bm._retire
-    check = bm.mem.check_write
-    nxt = ins.next_addr
-    inc = ins.mnemonic == "inc"
-    one = _U(1)
-
-    def step():
-        v = rd()
-        r = v + one if inc else v - one
-        if maskU is not None:
-            r = r & maskU
-        sa = v >> shU
-        sr = r >> shU
-        # CF is architecturally preserved by inc/dec
-        of = (sa != sr) & ((sa == 0) if inc else (sa != 0))
-        if ea is not None:
-            addr = ea()
-            check(addr, size)
-        else:
-            addr = None
-        retire(C)
-        regs.of = of
         _alu_flags_zsp(regs, r, shU)
         commit(addr, r)
         regs.rip = nxt
@@ -1021,33 +907,6 @@ def _mk_setcc(bm, ins, C):
     return step
 
 
-def _mk_cmovcc(bm, ins, C):
-    dst = ins.operands[0]
-    if not isinstance(dst, Reg) or subreg_size(dst.name) < 4:
-        return _mk_spill_all(bm, ins, "cmov to sub-32-bit destination")
-    size = _op_size(ins)
-    cond = _VCOND[ins.mnemonic[4:]]
-    r = _v_int_reader(bm, ins.operands[1], size)
-    gpr = bm.regs.gpr
-    canon = canonical(dst.name)
-    emask = _U((1 << (8 * min(subreg_size(dst.name), size))) - 1)
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        # note: the source is read for every lane even where the
-        # condition is false; a faulting read spills those lanes, which
-        # then re-execute scalar (where the read never happens) —
-        # conservative but bit-identical
-        c = cond(regs)
-        v = r()
-        retire(C)
-        gpr[canon] = np.where(c, v & emask, gpr[canon])
-        regs.rip = nxt
-    return step
-
-
 def _mk_jmp(bm, ins, C):
     regs = bm.regs
     retire = bm._retire
@@ -1127,15 +986,6 @@ def _mk_ret(bm, ins, C):
             _halt_all(bm)   # rip stays at the ret site, like scalar
         else:
             regs.rip = a0
-    return step
-
-
-def _mk_hlt(bm, ins, C):
-    retire = bm._retire
-
-    def step():
-        retire(C)
-        _halt_all(bm)
     return step
 
 
@@ -1231,23 +1081,11 @@ def _mk_call(bm, ins, C):
     return step
 
 
-def _mk_nop(bm, ins, C):
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        retire(C)
-        regs.rip = nxt
-    return step
-
-
 # ----------------------------- SSE makers ---------------------------------- #
 
 def _mk_f_scalar(bm, ins, C):
     kind = {"addsd": "add64", "subsd": "sub64", "mulsd": "mul64",
-            "divsd": "div64", "minsd": "min64", "maxsd": "max64"}[
-                ins.mnemonic]
+            "divsd": "div64"}[ins.mnemonic]
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f64_reader(bm, ins.operands[1])
     fpu = bm.fpu
@@ -1261,29 +1099,6 @@ def _mk_f_scalar(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = r
-        regs.rip = nxt
-    return step
-
-
-def _mk_f_packed(bm, ins, C):
-    kind = {"addpd": "add64", "subpd": "sub64", "mulpd": "mul64",
-            "divpd": "div64", "minpd": "min64", "maxpd": "max64"}[
-                ins.mnemonic]
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_xmm128_reader(bm, ins.operands[1])
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        blo, bhi = rs()
-        rlo = _vfp2(fpu, kind, pair[0], blo)
-        rhi = _vfp2(fpu, kind, pair[1], bhi)
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = rlo
-        pair[1] = rhi
         regs.rip = nxt
     return step
 
@@ -1302,26 +1117,6 @@ def _mk_sqrtsd(bm, ins, C):
         retire(C)
         bm.fp_instr_count += 1
         pair[0] = r
-        regs.rip = nxt
-    return step
-
-
-def _mk_sqrtpd(bm, ins, C):
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_xmm128_reader(bm, ins.operands[1])
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        blo, bhi = rs()
-        rlo = _vfp_sqrt(fpu, blo)
-        rhi = _vfp_sqrt(fpu, bhi)
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = rlo
-        pair[1] = rhi
         regs.rip = nxt
     return step
 
@@ -1346,97 +1141,6 @@ def _mk_ucomi(bm, ins, C):
         z = np.zeros(regs.n, bool)
         regs.of = z
         regs.sf = z
-        regs.rip = nxt
-    return step
-
-
-def _mk_f_scalar32(bm, ins, C):
-    kind = {"addss": "add32", "subss": "sub32", "mulss": "mul32",
-            "divss": "div32"}[ins.mnemonic]
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_f32_reader(bm, ins.operands[1])
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        b = rs()
-        a = pair[0]
-        fn = getattr(fpu, kind)
-        out = a.copy()
-        for i in range(len(out)):
-            r32, _fl = fn(int(a[i]) & _M32, int(b[i]))
-            out[i] = (int(a[i]) & ~_M32 & _M64) | r32
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = out
-        regs.rip = nxt
-    return step
-
-
-def _mk_fmaddsd(bm, ins, C):
-    pair = bm.regs.xmm[ins.operands[0].index]
-    r1 = _v_f64_reader(bm, ins.operands[1])
-    r2 = _v_f64_reader(bm, ins.operands[2])
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        a = r1()
-        b = r2()
-        c = pair[0]
-        out = c.copy()
-        for i in range(len(out)):
-            out[i] = fpu.fma64(int(a[i]), int(b[i]), int(c[i]))[0]
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = out
-        regs.rip = nxt
-    return step
-
-
-def _mk_cmpsd(bm, ins, C):
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_f64_reader(bm, ins.operands[1])
-    pred = ins.operands[2].value
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        b = rs()
-        a = pair[0]
-        out = a.copy()
-        for i in range(len(out)):
-            out[i] = fpu.cmp64(int(a[i]), int(b[i]), pred)[0]
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = out
-        regs.rip = nxt
-    return step
-
-
-def _mk_roundsd(bm, ins, C):
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_f64_reader(bm, ins.operands[1])
-    mode = ins.operands[2].value & 3
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        a = rs()
-        out = a.copy()
-        for i in range(len(out)):
-            out[i] = fpu.round64(int(a[i]), mode)[0]
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = out
         regs.rip = nxt
     return step
 
@@ -1466,9 +1170,8 @@ def _mk_cvtsi2sd(bm, ins, C):
     return step
 
 
-def _mk_cvtsd2si(bm, ins, C):
+def _mk_cvttsd2si(bm, ins, C):
     dst, src = ins.operands
-    truncate = ins.mnemonic == "cvttsd2si"
     rs = _v_f64_reader(bm, src)
     ea, commit = _v_int_writer(bm, dst, dst.size)
     if ea is not None:
@@ -1485,58 +1188,15 @@ def _mk_cvtsd2si(bm, ins, C):
         a = rs()
         f = a.view(np.float64)
         safe = np.isfinite(f) & (np.abs(f) < env)
-        q = np.trunc(f) if truncate else np.rint(f)   # rint: half-even
-        out = np.where(safe, q, 0.0).astype(np.int64).view(_U)
+        out = np.where(safe, np.trunc(f), 0.0).astype(np.int64).view(_U)
         bad = ~safe
         if bad.any():
             fn = getattr(fpu, fn_name)
             for i in np.nonzero(bad)[0]:
-                out[i] = fn(int(a[i]), truncate)[0]
+                out[i] = fn(int(a[i]), True)[0]
         retire(C)
         bm.fp_instr_count += 1
         commit(None, out)
-        regs.rip = nxt
-    return step
-
-
-def _mk_cvtsd2ss(bm, ins, C):
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_f64_reader(bm, ins.operands[1])
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        a = rs()
-        d = pair[0]
-        out = d.copy()
-        for i in range(len(out)):
-            r32, _fl = fpu.cvt_f64_to_f32(int(a[i]))
-            out[i] = (int(d[i]) & ~_M32 & _M64) | r32
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = out
-        regs.rip = nxt
-    return step
-
-
-def _mk_cvtss2sd(bm, ins, C):
-    pair = bm.regs.xmm[ins.operands[0].index]
-    rs = _v_f32_reader(bm, ins.operands[1])
-    fpu = bm.fpu
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-
-    def step():
-        a32 = rs()
-        out = np.empty_like(a32)
-        for i in range(len(out)):
-            out[i] = fpu.cvt_f32_to_f64(int(a32[i]))[0]
-        retire(C)
-        bm.fp_instr_count += 1
-        pair[0] = out
         regs.rip = nxt
     return step
 
@@ -1568,107 +1228,6 @@ def _mk_movsd(bm, ins, C):
             regs.rip = nxt
         return step
     s = xmm[src.index]
-    ea = _v_ea(bm, dst)
-    mem = bm.mem
-
-    def step():
-        a = ea()
-        mem.check_write(a, 8)
-        retire(C)
-        mem.write(a, 8, s[0])
-        regs.rip = nxt
-    return step
-
-
-def _mk_movss(bm, ins, C):
-    dst, src = ins.operands
-    xmm = bm.regs.xmm
-    retire = bm._retire
-    nxt = ins.next_addr
-    regs = bm.regs
-    m32 = _U(_M32)
-    inv32 = _U(~_M32 & _M64)
-    if isinstance(dst, Xmm) and isinstance(src, Xmm):
-        d, s = xmm[dst.index], xmm[src.index]
-
-        def step():
-            retire(C)
-            d[0] = (d[0] & inv32) | (s[0] & m32)
-            regs.rip = nxt
-        return step
-    if isinstance(dst, Xmm):
-        d = xmm[dst.index]
-        ea = _v_ea(bm, src)
-        read = bm.mem.read
-
-        def step():
-            v = read(ea(), 4)
-            retire(C)
-            d[0] = v if isinstance(v, np.ndarray) else np.full(
-                regs.n, v, _U)
-            d[1] = np.zeros(regs.n, _U)
-            regs.rip = nxt
-        return step
-    s = xmm[src.index]
-    ea = _v_ea(bm, dst)
-    mem = bm.mem
-
-    def step():
-        a = ea()
-        mem.check_write(a, 4)
-        retire(C)
-        mem.write(a, 4, s[0] & m32)
-        regs.rip = nxt
-    return step
-
-
-def _mk_movq(bm, ins, C):
-    dst, src = ins.operands
-    xmm = bm.regs.xmm
-    retire = bm._retire
-    nxt = ins.next_addr
-    regs = bm.regs
-    if isinstance(dst, Xmm):
-        d = xmm[dst.index]
-        if isinstance(src, Reg):
-            r = _v_int_reader(bm, src, 8)
-
-            def step():
-                v = r()
-                retire(C)
-                d[0] = v if isinstance(v, np.ndarray) else np.full(
-                    regs.n, v, _U)
-                d[1] = np.zeros(regs.n, _U)
-                regs.rip = nxt
-            return step
-        if isinstance(src, Xmm):
-            s = xmm[src.index]
-
-            def step():
-                retire(C)
-                d[0] = s[0]
-                d[1] = np.zeros(regs.n, _U)
-                regs.rip = nxt
-            return step
-        ea = _v_ea(bm, src)
-        read = bm.mem.read
-
-        def step():
-            v = read(ea(), 8)
-            retire(C)
-            d[0] = v
-            d[1] = np.zeros(regs.n, _U)
-            regs.rip = nxt
-        return step
-    s = xmm[src.index]
-    if isinstance(dst, Reg):
-        _, commit = _v_int_writer(bm, dst, 8)
-
-        def step():
-            retire(C)
-            commit(None, s[0])
-            regs.rip = nxt
-        return step
     ea = _v_ea(bm, dst)
     mem = bm.mem
 
@@ -1715,56 +1274,17 @@ def _mk_movapd(bm, ins, C):
     return step
 
 
-def _mk_movhpd(bm, ins, C):
-    dst, src = ins.operands
-    xmm = bm.regs.xmm
-    regs = bm.regs
-    retire = bm._retire
-    nxt = ins.next_addr
-    if isinstance(dst, Xmm):
-        d = xmm[dst.index]
-        ea = _v_ea(bm, src)
-        read = bm.mem.read
-
-        def step():
-            v = read(ea(), 8)
-            retire(C)
-            d[1] = v
-            regs.rip = nxt
-        return step
-    s = xmm[src.index]
-    ea = _v_ea(bm, dst)
-    mem = bm.mem
-
-    def step():
-        a = ea()
-        mem.check_write(a, 8)
-        retire(C)
-        mem.write(a, 8, s[1])
-        regs.rip = nxt
-    return step
-
-
 def _mk_f_bitwise(bm, ins, C):
-    mn = ins.mnemonic
+    op = np.bitwise_xor if ins.mnemonic == "xorpd" else np.bitwise_and
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_xmm128_reader(bm, ins.operands[1])
     regs = bm.regs
     retire = bm._retire
     nxt = ins.next_addr
-    m64 = _U(_M64)
 
     def step():
         blo, bhi = rs()
-        a0, a1 = pair[0], pair[1]
-        if mn == "xorpd":
-            r0, r1 = a0 ^ blo, a1 ^ bhi
-        elif mn == "andpd":
-            r0, r1 = a0 & blo, a1 & bhi
-        elif mn == "orpd":
-            r0, r1 = a0 | blo, a1 | bhi
-        else:  # andnpd
-            r0, r1 = (~a0) & blo & m64, (~a1) & bhi & m64
+        r0, r1 = op(pair[0], blo), op(pair[1], bhi)
         retire(C)
         pair[0] = r0
         pair[1] = r1
@@ -1772,41 +1292,28 @@ def _mk_f_bitwise(bm, ins, C):
     return step
 
 
+# the instructions repro.compiler.codegen emits, less neg and not;
+# BatchMachine._compile spills every lane at any other mnemonic, and the
+# scalar interpreter re-executes it from the same state
 _BMAKERS: dict[str, Callable] = {
-    "mov": _mk_mov, "movabs": _mk_mov,
-    "movzx": _mk_movzx, "movsx": _mk_movsx,
-    "lea": _mk_lea, "xchg": _mk_xchg,
+    "mov": _mk_mov, "movabs": _mk_mov, "movzx": _mk_movzx, "lea": _mk_lea,
     "push": _mk_push, "pop": _mk_pop,
     "add": _mk_alu, "sub": _mk_alu, "cmp": _mk_alu,
     "and": _mk_alu, "or": _mk_alu, "xor": _mk_alu, "test": _mk_alu,
-    "shl": _mk_shift, "shr": _mk_shift, "sar": _mk_shift,
-    "inc": _mk_incdec, "dec": _mk_incdec,
+    "shl": _mk_shift, "sar": _mk_shift,
     "imul": _mk_imul, "idiv": _mk_idiv, "cqo": _mk_cqo,
     "jmp": _mk_jmp, "call": _mk_call, "ret": _mk_ret,
-    "nop": _mk_nop, "hlt": _mk_hlt,
-    "movsd": _mk_movsd, "movss": _mk_movss, "movq": _mk_movq,
-    "movapd": _mk_movapd, "movupd": _mk_movapd, "movhpd": _mk_movhpd,
-    "sqrtsd": _mk_sqrtsd, "sqrtpd": _mk_sqrtpd,
-    "ucomisd": _mk_ucomi, "comisd": _mk_ucomi,
+    "movsd": _mk_movsd, "movapd": _mk_movapd,
+    "addsd": _mk_f_scalar, "subsd": _mk_f_scalar,
+    "mulsd": _mk_f_scalar, "divsd": _mk_f_scalar,
+    "sqrtsd": _mk_sqrtsd, "ucomisd": _mk_ucomi,
     "xorpd": _mk_f_bitwise, "andpd": _mk_f_bitwise,
-    "orpd": _mk_f_bitwise, "andnpd": _mk_f_bitwise,
-    "fmaddsd": _mk_fmaddsd, "cmpsd": _mk_cmpsd, "roundsd": _mk_roundsd,
-    "cvtsi2sd": _mk_cvtsi2sd,
-    "cvttsd2si": _mk_cvtsd2si, "cvtsd2si": _mk_cvtsd2si,
-    "cvtsd2ss": _mk_cvtsd2ss, "cvtss2sd": _mk_cvtss2sd,
+    "cvtsi2sd": _mk_cvtsi2sd, "cvttsd2si": _mk_cvttsd2si,
 }
 for _cc in _VCOND:
     _BMAKERS["j" + _cc] = _mk_jcc
 for _cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "p", "np"):
     _BMAKERS["set" + _cc] = _mk_setcc
-for _cc in ("e", "ne", "l", "g"):
-    _BMAKERS["cmov" + _cc] = _mk_cmovcc
-for _mn in ("addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd"):
-    _BMAKERS[_mn] = _mk_f_scalar
-for _mn in ("addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd"):
-    _BMAKERS[_mn] = _mk_f_packed
-for _mn in ("addss", "subss", "mulss", "divss"):
-    _BMAKERS[_mn] = _mk_f_scalar32
 
 
 # --------------------------------------------------------------------------- #

@@ -181,3 +181,49 @@ class TestDirectedLanes:
             ref = s.run()
             assert lane.fp_traps == ref.fp_traps
             assert_lane_matches(lane, ref, None)
+
+    def test_kept_makers_with_lanes_that_differ(self):
+        """Every lane carries its own shift count, array index and FP
+        input, so the integer, FP-bitwise and sqrt makers and the
+        varying-address memory paths run on unequal columns; only the
+        1e300 lane leaves the batch, at the final branch."""
+        src = """
+        double x0;
+        double kshift;
+        double slot;
+        long main() {
+            double buf[8];
+            long k = (long)kshift;
+            long i = (long)slot;
+            double x = x0;
+            long acc = 0;
+            for (long j = 0; j < 8; j = j + 1) { buf[j] = (double)j; }
+            for (long r = 0; r < 4; r = r + 1) {
+                buf[i] = buf[i] + sqrt(fabs(-x));
+                acc = acc + ((r + 3) * (k + 5) << k)
+                          + ((0 - 4096 * (r + 1)) >> k);
+                i = (i + k) % 8;
+                x = -x * 1.5;
+            }
+            if (x > 1e300) { acc = acc + 1; }
+            printf("%.17g %.17g %ld %ld\\n", buf[0] + buf[3], x, acc, i);
+            return acc % 100;
+        }
+        """
+        binary = compile_source(src)
+        assert {"shl", "sar", "imul", "lea", "xorpd", "andpd",
+                "sqrtsd"} <= {ins.mnemonic for ins in binary.text}
+        params = [{"x0": 0.25, "kshift": 1.0, "slot": 0.0},
+                  {"x0": -3.5, "kshift": 2.0, "slot": 3.0},
+                  {"x0": 7.0, "kshift": 3.0, "slot": 5.0},
+                  {"x0": 1e300, "kshift": 1.0, "slot": 7.0},
+                  {"x0": 2.0, "kshift": 5.0, "slot": 2.0},
+                  {"x0": -0.0, "kshift": 7.0, "slot": 6.0}]
+        batch = Session(binary, None).run_batch(
+            [LaneSpec(params=p) for p in params])
+        assert batch.spilled_lanes == 1
+        assert batch.dispatches > 500
+        for p, lane in zip(params, batch):
+            ref = Session(compile_source(src), None, params=p).run()
+            assert_lane_matches(lane, ref, None)
+            assert lane.buckets == ref.buckets

@@ -45,11 +45,6 @@ class TestSessionNative:
         assert r1.instr_count == r2.instr_count
         assert r2.machine.cost.platform is P7220
 
-    def test_seconds_modeled(self):
-        r = Session(lambda: compile_source(SRC), None).run()
-        assert r.seconds_modeled == pytest.approx(
-            r.cycles / (r.machine.cost.platform.ghz * 1e9))
-
 
 class TestSessionFPVM:
     def test_fields(self):

@@ -168,7 +168,6 @@ class TestAssembler:
         assert b.imports["printf"] == IMPORT_BASE
         assert b.imports["sin"] == IMPORT_BASE + 16
         assert b.text[0].operands[0].value == b.imports["sin"]
-        assert b.import_name_at(IMPORT_BASE) == "printf"
 
     def test_mem_disp_label_resolved(self):
         a = Assembler()

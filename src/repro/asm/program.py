@@ -50,6 +50,15 @@ class Binary:
         self.text_map = {i.addr: i for i in self.text}
         self._slots = {ins.addr: n for n, ins in enumerate(self.text)}
 
+    def copy(self) -> "Binary":
+        """A Binary that patches and data writes change independently
+        of this one: its own text list, maps, data image and tables,
+        and no patch listeners.  The Instruction objects are shared,
+        since nothing mutates one in place (a patch replaces it)."""
+        return Binary(list(self.text), bytearray(self.data), self.data_base,
+                      dict(self.symbols), dict(self.imports), self.entry,
+                      set(self.rodata_symbols))
+
     def add_patch_listener(self, fn) -> None:
         """Register ``fn(new_instruction)`` to run after each patch."""
         self._patch_listeners.append(fn)

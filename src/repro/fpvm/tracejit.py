@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.machine.predecode import _BLOCK_SAFE, _block_at
+from repro.machine.predecode import _BLOCK_SAFE
 from repro.trace.events import (TraceCompileEvent, TraceDeoptEvent,
                                 TraceRecordEvent)
 
@@ -154,9 +154,9 @@ class TraceJIT:
         info = self.traces.get(tgt)
         if info is not None:
             if info.valid:
-                # self-heal: set_oracle()/rebuild_blocks_around() clobber
-                # _blocks[header] with a fresh superblock — reinstall as
-                # long as the trace's assumptions still hold
+                # self-heal: set_oracle() replaces _blocks[header] with a
+                # fresh superblock and rebuild_blocks_around() drops it —
+                # reinstall as long as the trace's assumptions still hold
                 m = self.machine
                 if (m._blocks.get(tgt) is not info.fn
                         and self._assumptions_hold(info)):
@@ -331,7 +331,7 @@ class TraceJIT:
     def _deinstall(self, info: TraceInfo) -> None:
         m = self.machine
         if m._blocks.get(info.header) is info.fn:
-            m._blocks[info.header] = _block_at(m, m._code, info.header)
+            del m._blocks[info.header]     # the next entry rebuilds it
 
     def _invalidate(self, info: TraceInfo, reason: str) -> None:
         if not info.valid:

@@ -674,6 +674,42 @@ def _mk_alu(bm, ins, C):
     return step
 
 
+def _mk_unary(bm, ins, C):
+    """``neg`` (CF = source nonzero, OF = source is the sign bit alone,
+    ZF/SF/PF of the result) and ``not`` (no flags), as predecode's
+    ``_make_neg`` / ``_make_not``."""
+    size = _op_size(ins)
+    bits = 8 * size
+    shU = _U(bits - 1)
+    maskU = _U((1 << bits) - 1)
+    topU = _U(1 << (bits - 1))
+    dst = ins.operands[0]
+    rd = _v_int_reader(bm, dst, size)
+    ea, commit = _v_int_writer(bm, dst, size)
+    regs = bm.regs
+    retire = bm._retire
+    check = bm.mem.check_write
+    nxt = ins.next_addr
+    neg = ins.mnemonic == "neg"
+
+    def step():
+        v = rd()
+        r = (np.negative(v) if neg else np.invert(v)) & maskU
+        if ea is not None:
+            addr = ea()
+            check(addr, size)
+        else:
+            addr = None
+        retire(C)
+        if neg:
+            regs.cf = v != 0
+            regs.of = v == topU
+            _alu_flags_zsp(regs, r, shU)
+        commit(addr, r)
+        regs.rip = nxt
+    return step
+
+
 def _mk_shift(bm, ins, C):
     mn = ins.mnemonic
     dst, src = ins.operands
@@ -1300,6 +1336,7 @@ _BMAKERS: dict[str, Callable] = {
     "push": _mk_push, "pop": _mk_pop,
     "add": _mk_alu, "sub": _mk_alu, "cmp": _mk_alu,
     "and": _mk_alu, "or": _mk_alu, "xor": _mk_alu, "test": _mk_alu,
+    "neg": _mk_unary, "not": _mk_unary,
     "shl": _mk_shift, "sar": _mk_shift,
     "imul": _mk_imul, "idiv": _mk_idiv, "cqo": _mk_cqo,
     "jmp": _mk_jmp, "call": _mk_call, "ret": _mk_ret,

@@ -27,7 +27,7 @@ from repro.asm.program import Binary
 from repro.machine.costmodel import CostModel, Platform, R815
 from repro.machine.memory import Memory
 from repro.machine.mxcsr import MXCSR
-from repro.machine.predecode import (Step, compile_blocks,
+from repro.machine.predecode import (Step, _block_at, compile_blocks,
                                      compile_instruction, compile_program,
                                      rebuild_blocks_around)
 from repro.machine.regfile import RegFile
@@ -127,9 +127,13 @@ class Machine:
         self.regs.rip = binary.entry
 
         # compile every text instruction into a specialized closure so
-        # run() needs no string dispatch on the hot path.  Patching
+        # run() needs no string dispatch on the hot path, and fuse the
+        # superblocks at the block leaders (compile_blocks); run()
+        # builds any other entry's block at its first miss, so block
+        # building stays out of run() on the common path.  Patching
         # (trap-and-patch, static patcher) swaps instructions after
-        # load, so recompile the affected address on notify.
+        # load, so recompile the affected address on notify and drop
+        # the blocks that contain it.
         self._code: dict[int, Step] = compile_program(self)
         self._blocks: dict[int, Step] = compile_blocks(self, self._code)
         #: id(instruction) -> (instruction, step) compiled for execute()
@@ -140,7 +144,8 @@ class Machine:
     def install_step(self, addr: int, step: Step | None) -> None:
         """Run ``step`` at ``addr`` from now on, or, with None, the step
         compiled from the binary's instruction there; the superblocks
-        containing ``addr`` are rebuilt around it.  Serves binary
+        containing ``addr`` are dropped, and the next entry at each
+        rebuilds it around the new step.  Serves binary
         patches and the trap-site JIT's compile, fuse, unfuse and
         invalidate."""
         if step is None:
@@ -225,7 +230,13 @@ class Machine:
             while not self.halted:
                 block = block_get(regs.rip)
                 if block is None:
-                    raise MachineError(f"rip={regs.rip:#x}: no instruction")
+                    # not a leader: an indirect target, a trace side
+                    # exit or a block install_step dropped — build once
+                    rip = regs.rip
+                    if rip not in self._code:
+                        raise MachineError(f"rip={rip:#x}: no instruction")
+                    block = _block_at(self, self._code, rip)
+                    self._blocks[rip] = block
                 block()
         finally:
             self._in_fast_loop = False

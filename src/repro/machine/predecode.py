@@ -29,10 +29,21 @@ instruction budget, and ``Machine.step``) runs one step at a time.
 ``tests/property/test_prop_predecode.py`` checks that they agree in
 full state; ``tests/unit/test_predecode.py`` pins the semantics by hand.
 
+Superblocks are built at load only at the *block leaders*: the entry
+point, every direct branch or call target, and the address after every
+instruction that ends a block.  Those are where the fetch loop lands
+after a block, so a run of k straight-line instructions costs one
+k-step block, not k overlapping ones.  Any other address the loop
+enters (an indirect target, a trace side exit, a block dropped by a
+patch) misses the table, and ``Machine.run`` builds its block then,
+once.  A block is a pure function of the steps at and after its
+address, so where and when it was built changes no count and no float
+chain.
+
 Binary patching (trap-and-patch §3.2, the static patcher §4.2) swaps
 instructions at runtime; ``Binary.replace_instruction`` notifies the
 machine, whose ``install_step`` recompiles the single affected address
-and the superblocks around it.
+and drops the superblocks that contain it (``rebuild_blocks_around``).
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import MachineError
-from repro.isa.opcodes import is_fp_trapping
+from repro.isa.opcodes import OpClass, is_fp_trapping
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
 from repro.machine.costmodel import instruction_cost
@@ -299,17 +310,38 @@ def _block_at(m: "Machine", steps: dict[int, Step], addr: int) -> Step:
 
 
 def compile_blocks(m: "Machine", steps: dict[int, Step]) -> dict[int, Step]:
-    """Superblock table: every address gets its run-to-breaker closure."""
-    return {addr: _block_at(m, steps, addr) for addr in steps}
+    """Superblock table at load: one block per block leader.
+
+    A leader is the entry point, the immediate target of a direct
+    branch or call, or the address after any instruction that is not
+    block-safe (a breaker ends a block, so the fetch loop resumes right
+    after it).  One linear pass finds them.  Any other address the
+    fetch loop enters (an indirect target, a trace side exit, a block
+    ``rebuild_blocks_around`` dropped) misses the table, and
+    ``Machine.run`` builds that block then, once.
+    """
+    binary = m.binary
+    leaders = {binary.entry}
+    for ins in binary.text:
+        if ins.mnemonic in _BLOCK_SAFE:
+            continue
+        leaders.add(ins.next_addr)
+        ops = ins.operands
+        if (ops and ins.info.opclass is OpClass.CONTROL
+                and isinstance(ops[0], Imm)):
+            leaders.add(ops[0].value)
+    return {addr: _block_at(m, steps, addr)
+            for addr in leaders if addr in steps}
 
 
 def rebuild_blocks_around(m: "Machine", addr: int) -> None:
-    """Recompile every superblock whose chain contains ``addr``.
+    """Drop every superblock whose chain contains ``addr``.
 
     Called by ``Machine.install_step``: blocks containing the replaced
-    address start at it or at any fall-through predecessor, so
-    walk the contiguous block-safe run backwards and rebuild forward
-    from each address in it.
+    address start at it or at any fall-through predecessor, so walk
+    the contiguous block-safe run backwards and drop the block at each
+    address in it.  The next entry at a dropped address builds its
+    block again from the live steps (``Machine.run``'s miss path).
     """
     text = m.binary.text
     i = m.binary.text_index(addr)
@@ -320,9 +352,9 @@ def rebuild_blocks_around(m: "Machine", addr: int) -> None:
                 or prev.mnemonic not in _BLOCK_SAFE):
             break
         start -= 1
+    blocks = m._blocks
     for j in range(start, i + 1):
-        a = text[j].addr
-        m._blocks[a] = _block_at(m, m._code, a)
+        blocks.pop(text[j].addr, None)
 
 
 def compile_instruction(m: "Machine", ins: "Instruction") -> Step:

@@ -1,8 +1,14 @@
-"""Workload registry: name → builder + metadata + paper expectations."""
+"""Workload registry: name → builder + metadata + paper expectations.
+
+Each registered builder compiles its program once per size per
+process; every call returns a fresh :meth:`Binary.copy` of that
+pristine build, which the caller may patch.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.asm.program import Binary
@@ -25,8 +31,25 @@ class WorkloadSpec:
 WORKLOADS: dict[str, WorkloadSpec] = {}
 
 
+def _build_once(build: Callable[[str], Binary]) -> Callable[[str], Binary]:
+    """``build`` compiled once per size; each call gets its own copy.
+
+    ``functools.wraps`` keeps ``__module__``, by which tools find the
+    workload's module (its source template, its ``compile_source``).
+    """
+    pristine: dict[str, Binary] = {}
+
+    @functools.wraps(build)
+    def cached(size: str = "S") -> Binary:
+        binary = pristine.get(size)
+        if binary is None:
+            binary = pristine[size] = build(size)
+        return binary.copy()
+    return cached
+
+
 def _reg(spec: WorkloadSpec) -> None:
-    WORKLOADS[spec.name] = spec
+    WORKLOADS[spec.name] = replace(spec, build=_build_once(spec.build))
 
 
 _reg(WorkloadSpec("fbench", fbench.build,

@@ -227,3 +227,42 @@ class TestDirectedLanes:
             ref = Session(compile_source(src), None, params=p).run()
             assert_lane_matches(lane, ref, None)
             assert lane.buckets == ref.buckets
+
+    def test_neg_and_not_run_in_lockstep(self):
+        """Unary minus and ``~`` on a ``long`` compile to ``neg`` and
+        ``not``.  Each lane brings its own value (zero, both signs, and
+        the sign bit alone, where ``neg`` overflows) through them
+        without leaving the batch; ``main`` returns a negation, so the
+        final flags are ``neg``'s own."""
+        src = """
+        double a0;
+        long main() {
+            long a = (long)a0;
+            long b = a;
+            long s = 0;
+            long t = 0;
+            for (long i = 0; i < 6; i = i + 1) {
+                s = s + (-a) + ((-a) >> 63);
+                t = t + (~a);
+                a = a * 3 - i;
+            }
+            printf("%ld %ld\n", s, t);
+            return -b;
+        }
+        """
+        binary = compile_source(src)
+        assert {"neg", "not"} <= {ins.mnemonic for ins in binary.text}
+        params = [{"a0": 0.0}, {"a0": -7.0}, {"a0": 123456789.0},
+                  {"a0": -9223372036854775808.0}]
+        batch = Session(binary, None).run_batch(
+            [LaneSpec(params=p) for p in params])
+        assert batch.spilled_lanes == 0
+        flags = set()
+        for p, lane in zip(params, batch):
+            ref = Session(compile_source(src), None, params=p).run()
+            assert_lane_matches(lane, ref, None)
+            assert lane.buckets == ref.buckets
+            flags.add(tuple(int(f) for f in ref.final_regs["flags"]))
+        # (zf, sf, cf, of, pf): zero, a negative result, a positive
+        # one, and the overflow of the sign bit alone
+        assert len(flags) == 4

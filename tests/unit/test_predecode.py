@@ -247,3 +247,101 @@ def test_step_off_the_text_raises():
     m.step()
     with pytest.raises(MachineError, match="no instruction"):
         m.step()
+
+
+# --------------------------------------------------------------------------- #
+# superblocks: built at the block leaders, and at a miss                      #
+# --------------------------------------------------------------------------- #
+
+#: superblocks each registry program has after load at size "test" —
+#: one per block leader; a table with one block per address (the
+#: program's whole text) would fail this
+LOADED_BLOCKS = {
+    "enzo": 127, "fbench": 76, "lorenz": 24, "miniaero": 109,
+    "nas_cg": 127, "nas_ep": 77, "nas_is": 66, "nas_lu": 102,
+    "nas_mg": 70, "numbugs_cancel": 13, "numbugs_sum": 19,
+    "numbugs_var": 19, "three_body": 93,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_BLOCKS))
+def test_load_builds_one_block_per_leader(name):
+    from repro.workloads import WORKLOADS
+
+    m = load_binary(WORKLOADS[name].build("test"))
+    assert len(m._blocks) == LOADED_BLOCKS[name]
+
+
+def _indirect_loop():
+    """A loop whose body is entered through ``jmp rax`` at ``mid``,
+    an address no direct branch names: not a block leader."""
+    def body(a):
+        a.emit("mov", RCX, imm(0))
+        a.emit("mov", RDX, imm(3))
+        a.label("loop")
+        a.emit("mov", RAX, lbl("mid"))
+        a.emit("jmp", RAX)
+        a.emit("add", RCX, imm(100))      # dead: a leader after the jmp
+        a.label("mid")
+        a.emit("add", RCX, imm(3))
+        a.emit("imul", RCX, RDX)
+        a.emit("dec", RDX)
+        a.emit("jne", lbl("loop"))
+        a.emit("mov", RAX, RCX)
+
+    return asm_program(body)
+
+
+def _chain(binary, addr):
+    """The addresses a superblock entered at ``addr`` covers."""
+    from repro.machine.predecode import _BLOCK_SAFE
+
+    out = [addr]
+    while binary.text_map[out[-1]].mnemonic in _BLOCK_SAFE:
+        out.append(binary.text_map[out[-1]].next_addr)
+    return out
+
+
+def test_a_non_leader_entry_builds_its_block_once(monkeypatch):
+    import repro.machine.cpu as cpu
+
+    binary = _indirect_loop()
+    mid = binary.symbols["mid"]
+    m = load_binary(binary)
+    assert mid not in m._blocks
+    built = []
+
+    def counting(machine, steps, addr, block_at=cpu._block_at):
+        built.append(addr)
+        return block_at(machine, steps, addr)
+
+    monkeypatch.setattr(cpu, "_block_at", counting)
+    m.run()
+    assert built == [mid]                 # three entries, one build
+    assert mid in m._blocks
+
+    stepped = load_binary(_indirect_loop())
+    stepped.run(max_instructions=10_000)
+    # rcx = ((0 + 3)·3 + 3)·2 + 3)·1
+    assert m.exit_code == stepped.exit_code == 27
+    assert m.regs.snapshot() == stepped.regs.snapshot()
+    assert (m.instr_count, m.fp_instr_count) == \
+        (stepped.instr_count, stepped.fp_instr_count)
+    assert m.cost.cycles == stepped.cost.cycles
+    assert m.cost.buckets == stepped.cost.buckets
+
+
+def test_install_step_drops_exactly_the_blocks_containing_it():
+    m = load_binary(_indirect_loop())
+    m.run()
+    mid = m.binary.symbols["mid"]
+    site = m.binary.text_map[mid].next_addr       # the imul
+    before = dict(m._blocks)
+    holding = {a for a in before if site in _chain(m.binary, a)}
+    # the dead leader before mid and mid's block, built at its first
+    # miss, both run through the site
+    dead = m.binary.text[m.binary.text_index(mid) - 1].addr
+    assert holding == {dead, mid}
+    m.install_step(site, None)
+    assert set(m._blocks) == set(before) - holding
+    assert all(m._blocks[a] is before[a] for a in m._blocks)

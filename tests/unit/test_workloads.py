@@ -3,6 +3,7 @@ physically sensible output."""
 
 import math
 import re
+import sys
 
 import pytest
 
@@ -37,6 +38,47 @@ class TestRegistry:
         for size in ("test", "bench"):
             binary = spec.build(size)
             assert binary.entry in binary.text_map
+
+
+class TestBuildCache:
+    """Each registry program compiles once per size per process; every
+    build() is a copy that its caller may patch."""
+
+    def test_builds_are_distinct_copies_of_one_program(self):
+        a = WORKLOADS["lorenz"].build("test")
+        b = WORKLOADS["lorenz"].build("test")
+        assert a is not b
+        assert a.text is not b.text and a.data is not b.data
+        assert a.content_hash() == b.content_hash()
+
+    def test_patching_a_copy_leaves_the_next_build_pristine(self):
+        from repro.analysis import analyze_and_patch
+        from repro.compiler.driver import instrument_fp_sites
+
+        spec = WORKLOADS["fbench"]
+        pristine = spec.build("test").content_hash()
+        patched = spec.build("test")
+        analyze_and_patch(patched)
+        assert patched.content_hash() != pristine
+        instrumented = spec.build("test")
+        assert instrument_fp_sites(instrumented) > 0
+        written = spec.build("test")
+        written.data[0] ^= 0xFF
+        written.symbols["bench_extra"] = written.data_base
+        for binary in (patched, instrumented, written):
+            assert binary.content_hash() != pristine
+        fresh = spec.build("test")
+        assert fresh.content_hash() == pristine
+        assert "bench_extra" not in fresh.symbols
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_builder_keeps_its_module(self, name):
+        """Tools find a workload's module (its source template, its
+        compile_source) through ``build.__module__``."""
+        build = WORKLOADS[name].build
+        module = sys.modules[build.__module__]
+        assert module.__name__ != "repro.workloads.registry"
+        assert getattr(module, build.__name__) is build.__wrapped__
 
 
 class TestOutputs:

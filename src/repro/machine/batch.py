@@ -49,7 +49,6 @@ bit-identical to scalar execution under an installed FPVM.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -1670,8 +1669,7 @@ class BatchMachine:
         if self.fpvm_mode:
             # trap-and-patch mutates the binary in place; each spilled
             # FPVM lane patches its own private copy
-            binary = copy.deepcopy(self.binary)
-            binary._patch_listeners = []
+            binary = self.binary.copy()
         m = load_binary(binary, platform=self.platform,
                         heap_size=self.heap_size,
                         stack_size=self.stack_size)

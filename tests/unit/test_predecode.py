@@ -18,7 +18,8 @@ from repro.isa.opcodes import OPCODES
 from repro.isa.operands import Reg
 from repro.machine.costmodel import R815, instruction_cost
 from repro.machine.loader import load_binary
-from repro.machine.predecode import _MAKERS
+from repro.machine.predecode import _BLOCK_SAFE, _MAKERS
+from repro.workloads import WORKLOADS
 from conftest import (EAX, RAX, RCX, RDX, XMM0, XMM1, asm_program, imm, lbl,
                       mem, run_program)
 
@@ -266,8 +267,6 @@ LOADED_BLOCKS = {
 
 @pytest.mark.parametrize("name", sorted(LOADED_BLOCKS))
 def test_load_builds_one_block_per_leader(name):
-    from repro.workloads import WORKLOADS
-
     m = load_binary(WORKLOADS[name].build("test"))
     assert len(m._blocks) == LOADED_BLOCKS[name]
 
@@ -294,8 +293,6 @@ def _indirect_loop():
 
 def _chain(binary, addr):
     """The addresses a superblock entered at ``addr`` covers."""
-    from repro.machine.predecode import _BLOCK_SAFE
-
     out = [addr]
     while binary.text_map[out[-1]].mnemonic in _BLOCK_SAFE:
         out.append(binary.text_map[out[-1]].next_addr)
@@ -322,7 +319,7 @@ def test_a_non_leader_entry_builds_its_block_once(monkeypatch):
 
     stepped = load_binary(_indirect_loop())
     stepped.run(max_instructions=10_000)
-    # rcx = ((0 + 3)·3 + 3)·2 + 3)·1
+    # rcx = (((0 + 3)·3 + 3)·2 + 3)·1
     assert m.exit_code == stepped.exit_code == 27
     assert m.regs.snapshot() == stepped.regs.snapshot()
     assert (m.instr_count, m.fp_instr_count) == \

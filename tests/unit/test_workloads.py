@@ -57,19 +57,18 @@ class TestBuildCache:
 
         spec = WORKLOADS["fbench"]
         pristine = spec.build("test").content_hash()
-        patched = spec.build("test")
-        analyze_and_patch(patched)
-        assert patched.content_hash() != pristine
-        instrumented = spec.build("test")
-        assert instrument_fp_sites(instrumented) > 0
-        written = spec.build("test")
-        written.data[0] ^= 0xFF
-        written.symbols["bench_extra"] = written.data_base
-        for binary in (patched, instrumented, written):
-            assert binary.content_hash() != pristine
+        changed = spec.build("test")
+        analyze_and_patch(changed)
+        patched = changed.content_hash()
+        assert patched != pristine
+        assert instrument_fp_sites(changed) > 0
+        assert changed.content_hash() != patched
+        changed.data[0] ^= 0xFF
+        changed.symbols["bench_extra"] = changed.data_base
         fresh = spec.build("test")
         assert fresh.content_hash() == pristine
         assert "bench_extra" not in fresh.symbols
+        assert fresh.data[0] != changed.data[0]
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_builder_keeps_its_module(self, name):

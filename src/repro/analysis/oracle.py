@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.isa.opcodes import is_fp_bitwise
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.analysis.vsa import (INTERPOSED_EXTERNS, NO_FP_EXTERNS,
                                 _INT_READERS)
@@ -131,7 +132,7 @@ class SoundnessOracle:
                     m.regs.set_xmm_lo(src.index,
                                       self.fpvm.emulator.demote_bits(bits))
             return
-        if mn in ("xorpd", "andpd", "orpd", "andnpd"):
+        if is_fp_bitwise(mn):
             hit = False
             for op in ins.operands:
                 if isinstance(op, Xmm):
@@ -174,7 +175,7 @@ class SoundnessOracle:
         instruction can never consume a box."""
         mn = ins.mnemonic
         relevant = (
-            mn in ("xorpd", "andpd", "orpd", "andnpd")
+            is_fp_bitwise(mn)
             or mn == "call"
             or (mn == "movq" and isinstance(ins.operands[0], Reg)
                 and isinstance(ins.operands[1], Xmm))

@@ -65,8 +65,10 @@ from repro.analysis.si import SI
 from repro.analysis.vsa import (INTERPOSED_EXTERNS, NO_FP_EXTERNS,
                                 ValueSetAnalysis)
 from repro.arith.interval import IntervalArithmetic, _is_nai
+from repro.isa.opcodes import is_fp_bitwise
 from repro.isa.operands import Mem, Reg, Xmm
 from repro.isa.registers import canonical
+from repro.isa.sse import FLAGS, GPR, SSE_OPS
 
 _IV = IntervalArithmetic()
 _INF = math.inf
@@ -87,20 +89,6 @@ _EXACT_INT = float(1 << 53)
 #: state preserved across them (libm and output are interposed; the
 #: allocator family takes no FP and touches no caller data we track)
 _SAFE_EXTERNS = (NO_FP_EXTERNS | INTERPOSED_EXTERNS) - {"memset"}
-
-#: mnemonics the dual-path sanitizer checks dynamically (value-producing
-#: FP ops whose destination is re-boxed; see sanitize.CHECKED_OPS)
-CHECKED_SITE_MNEMONICS = frozenset({
-    "addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd", "sqrtsd",
-    "fmaddsd", "cvtsi2sd", "cvtss2sd", "roundsd",
-    "addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd", "sqrtpd",
-})
-
-_FP_BINOPS = frozenset({"addsd", "subsd", "mulsd", "divsd",
-                        "minsd", "maxsd"})
-_FP_PACKED = frozenset({"addpd", "subpd", "mulpd", "divpd",
-                        "minpd", "maxpd", "sqrtpd"})
-_FP_F32 = frozenset({"addss", "subss", "mulss", "divss"})
 
 _SIGN_MASK = 0x8000000000000000
 _ABS_MASK = 0x7FFFFFFFFFFFFFFF
@@ -544,8 +532,9 @@ class RangeAnalysis(Fixpoint):
         mn = ins.mnemonic
         ops = ins.operands
         out = st
+        spec = SSE_OPS.get(mn)
 
-        if mn in _FP_BINOPS:
+        if spec is not None and spec.scalar_binop:
             dst, src = ops
             a = st.xmm_get(dst.index)
             b = (st.xmm_get(src.index) if isinstance(src, Xmm)
@@ -586,19 +575,14 @@ class RangeAnalysis(Fixpoint):
             self._site(ins.addr, res)
             out = st.xmm_set(dst.index, res)
 
-        elif mn in _FP_PACKED or mn == "cvtss2sd":
-            # checked dynamically but not modeled: lane 1 (packed) and
-            # binary32 inputs are outside the lane-0 binary64 domain
-            self._site(ins.addr, FTOP)
-            if isinstance(ops[0], Xmm):
+        elif spec is not None:
+            # not modeled.  A sanitizer-checked site (packed, or a
+            # binary32 input: outside the lane-0 binary64 domain) is
+            # unbounded; GPR and flag results change no FP state
+            if spec.reboxed:
+                self._site(ins.addr, FTOP)
+            if spec.dst not in (GPR, FLAGS):
                 out = st.xmm_set(ops[0].index, FTOP)
-
-        elif mn in _FP_F32 or mn == "cvtsd2ss" or mn == "cmpsd":
-            if isinstance(ops[0], Xmm):
-                out = st.xmm_set(ops[0].index, FTOP)
-
-        elif mn in ("cvttsd2si", "cvtsd2si", "ucomisd", "comisd"):
-            pass  # GPR/flags results: no FP state change
 
         elif mn in ("movsd", "movapd", "movupd", "movq"):
             dst, src = ops
@@ -626,7 +610,7 @@ class RangeAnalysis(Fixpoint):
                 out = self._clobber_mem(ins, dst, st, work)
             # xmm dst: lane 0 untouched
 
-        elif mn in ("xorpd", "andpd", "orpd", "andnpd"):
+        elif is_fp_bitwise(mn):
             out = self._bitwise(ins, mn, ops, st)
 
         elif mn == "push":
@@ -818,7 +802,8 @@ def analyze_ranges(binary, *, threshold: float = 1e-6,
         mn = ins.mnemonic
         if mn in ("fpvm_trap", "fpvm_patch") and ins.payload:
             mn = ins.payload["original"].mnemonic
-        if mn in CHECKED_SITE_MNEMONICS:
+        spec = SSE_OPS.get(mn)
+        if spec is not None and spec.reboxed:
             checkable.append(ins.addr)
             report.mnemonics[ins.addr] = mn
     report.checkable = tuple(sorted(checkable))

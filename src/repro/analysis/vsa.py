@@ -50,8 +50,10 @@ from bisect import bisect_right
 from operator import itemgetter
 
 from repro.isa.instructions import Instruction
+from repro.isa.opcodes import OPCODES, is_fp_bitwise
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical
+from repro.isa.sse import GPR, SSE_OPS
 from repro.asm.program import Binary
 from repro.analysis.cfg import CFG
 from repro.analysis.fixpoint import Fixpoint
@@ -689,7 +691,7 @@ class ValueSetAnalysis(Fixpoint):
     def _compile_fp_op(self, ins, mn, ops):
         # trap-capable FP instruction: only a conversion into a GPR
         # changes the abstract state, leaving an unbounded number there
-        if not (mn.startswith("cvt") and ops and isinstance(ops[0], Reg)):
+        if SSE_OPS[mn].dst != GPR:
             return _identity
         out = REG_INDEX[canonical(ops[0].name)]
 
@@ -753,6 +755,6 @@ _MAKERS = {
     "push": ValueSetAnalysis._compile_push,
     "pop": ValueSetAnalysis._compile_pop,
     **dict.fromkeys(_FP_STORES | {"movq"}, ValueSetAnalysis._compile_fp_mov),
-    **dict.fromkeys(("xorpd", "andpd", "orpd", "andnpd"),
+    **dict.fromkeys(filter(is_fp_bitwise, OPCODES),
                     ValueSetAnalysis._compile_bitwise),
 }

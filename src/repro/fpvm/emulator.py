@@ -26,7 +26,7 @@ from repro.errors import MachineError, NanBoxError
 from repro.ieee.bits import F64_DEFAULT_QNAN, is_nan64, quiet64
 from repro.arith.interface import AlternativeArithmetic, Ordering
 from repro.fpvm.binding import BoundInst, BoundLane, Location
-from repro.fpvm.decoder import FPVMOp
+from repro.isa.sse import LO32, SSE_OPS, FPVMOp
 from repro.fpvm.nanbox import NaNBoxCodec
 from repro.fpvm.shadow import ShadowStore
 from repro.trace.events import DemotionEvent
@@ -62,15 +62,7 @@ class Emulator:
         self.corrupted_boxes = 0
         self.ops_emulated: dict[str, int] = {}
 
-        a = self.arith
         self._op_map: dict[FPVMOp, Callable[["Machine", BoundLane, BoundInst], None]] = {
-            FPVMOp.ADD: self._mk_binop(a.add),
-            FPVMOp.SUB: self._mk_binop(a.sub),
-            FPVMOp.MUL: self._mk_binop(a.mul),
-            FPVMOp.DIV: self._mk_binop(a.div),
-            FPVMOp.MIN: self._mk_binop(a.min),
-            FPVMOp.MAX: self._mk_binop(a.max),
-            FPVMOp.SQRT: self._mk_unop(a.sqrt),
             FPVMOp.FMA: self._op_fma,
             FPVMOp.UCOMI: self._op_compare,
             FPVMOp.COMI: self._op_compare,
@@ -84,11 +76,14 @@ class Emulator:
             FPVMOp.CVT_F64_F32: self._op_cvt_f64_f32,
             FPVMOp.CVT_F32_F64: self._op_cvt_f32_f64,
             FPVMOp.ROUND: self._op_round,
-            FPVMOp.ADD32: self._mk_binop32(a.add),
-            FPVMOp.SUB32: self._mk_binop32(a.sub),
-            FPVMOp.MUL32: self._mk_binop32(a.mul),
-            FPVMOp.DIV32: self._mk_binop32(a.div),
         }
+        # the arithmetic ops apply the port method their row names
+        for spec in SSE_OPS.values():
+            if spec.opclass == "arith" and spec.op is not FPVMOp.FMA:
+                mk = (self._mk_binop32 if spec.dst == LO32
+                      else self._mk_unop if spec.args == (1,)
+                      else self._mk_binop)
+                self._op_map[spec.op] = mk(getattr(arith, spec.arith))
 
     # ------------------------------------------------------------------ #
     # entry point                                                         #
@@ -99,7 +94,7 @@ class Emulator:
         fn = self._op_map.get(bound.op)
         if fn is None:
             raise MachineError(f"no emulation for {bound.op}")
-        return fn, bound.decoded.arith_name or bound.op.name.lower()
+        return fn, bound.decoded.arith_name
 
     def emulate(self, machine: "Machine", bound: BoundInst) -> int:
         """Emulate all lanes; returns modeled arithmetic cycles."""
@@ -128,7 +123,7 @@ class Emulator:
             ops[name] = ops.get(name, 0) + n
 
         san = self.sanitizer
-        if san is not None and bound.op in san.checked_ops:
+        if san is not None and bound.decoded.reboxed:
             apply_op = run
             dsts = tuple(lane.dst for lane in lanes if lane.dst is not None)
             instr = bound.decoded.instr

@@ -47,10 +47,11 @@ from repro.faults.injector import InjectedFault
 from repro.ieee.bits import (F64_DEFAULT_QNAN, F64_EXP_MASK, F64_QNAN_BIT,
                              is_nan64, quiet64)
 from repro.isa.operands import Xmm
+from repro.isa.sse import FLAGS, SSE_OPS, FPVMOp
 from repro.fpvm.binding import XmmLoc
 from repro.fpvm.nanbox import PAYLOAD_MASK
 from repro.machine.costmodel import instruction_cost
-from repro.machine.predecode import _SCALAR_OPS, _f64_reader
+from repro.machine.predecode import _f64_reader
 from repro.trace.events import JitCompileEvent, JitHitEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,8 +64,6 @@ _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 #: duplicated from runtime to avoid a circular import
 _RECOVERABLE = (InjectedFault, ArithmeticPortError, NanBoxError)
-
-_BINOPS = frozenset(["addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd"])
 
 #: sentinel: "the chain-kernel state register holds no live value"
 _NOVAL = object()
@@ -129,14 +128,16 @@ class TrapSiteJIT:
 
     @staticmethod
     def _classify(ins: "Instruction") -> str | None:
-        mn = ins.mnemonic
-        if len(ins.operands) != 2 or not isinstance(ins.operands[0], Xmm):
+        """The scalar binary64 binops, SQRTSD and the flag compares."""
+        spec = SSE_OPS.get(ins.mnemonic)
+        if (spec is None or len(ins.operands) != 2
+                or not isinstance(ins.operands[0], Xmm)):
             return None
-        if mn in _BINOPS:
+        if spec.scalar_binop:
             return "binop"
-        if mn == "sqrtsd":
+        if spec.op is FPVMOp.SQRT and spec.lanes == 1:
             return "sqrt"
-        if mn in ("ucomisd", "comisd"):
+        if spec.dst == FLAGS:
             return "ucomi"
         return None
 
@@ -185,8 +186,7 @@ class TrapSiteJIT:
         ins = site.ins
         compare = arith.compare
         op_cycles = arith.op_cycles("compare")
-        fpu_fn = (m.fpu.ucomi64 if ins.mnemonic == "ucomisd"
-                  else m.fpu.comi64)
+        fpu_fn = getattr(m.fpu, SSE_OPS[ins.mnemonic].kernel)
         lanes = m.regs.xmm[site.dst_index]
         rs = _f64_reader(m, ins.operands[1])
         regs = m.regs
@@ -378,8 +378,7 @@ class TrapSiteJIT:
         for s in chain:
             ins = s.ins
             unary = s.kind == "sqrt"
-            fpu_fn = (m.fpu.sqrt64 if unary
-                      else getattr(m.fpu, _SCALAR_OPS[ins.mnemonic]))
+            fpu_fn = getattr(m.fpu, SSE_OPS[ins.mnemonic].kernel)
             src = ins.operands[1]
             # a source naming the destination reads the carried state
             rs = (None if isinstance(src, Xmm) and src.index == dst_index

@@ -30,7 +30,6 @@ from repro.ieee.bits import bits_to_f64, f64_to_bits
 from repro.arith.interface import AlternativeArithmetic, Ordering
 from repro.arith.bigfloat import BigFloatArithmetic
 from repro.arith.vanilla import VanillaArithmetic
-from repro.fpvm.decoder import FPVMOp
 from repro.trace.events import SanitizeFlagEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -275,23 +274,14 @@ class SiteRecord:
         }
 
 
-#: FPVMOps whose destination is a boxed FP value worth checking
-#: (compares set RFLAGS, CMP_PRED writes a mask, CVT_F64_I* writes a
-#: GPR, and f32 forms are never boxed — the "float problem")
-CHECKED_OPS = frozenset({
-    FPVMOp.ADD, FPVMOp.SUB, FPVMOp.MUL, FPVMOp.DIV, FPVMOp.MIN,
-    FPVMOp.MAX, FPVMOp.SQRT, FPVMOp.FMA, FPVMOp.CVT_I32_F64,
-    FPVMOp.CVT_I64_F64, FPVMOp.CVT_F32_F64, FPVMOp.ROUND,
-})
-
-
 class Sanitizer:
     """Divergence checker + per-site provenance tables.
 
     Owned by the FPVM when its arithmetic is a
     :class:`DualPathArithmetic`; :meth:`check_value` is called by the
-    emulator at each destination lane of a checked instruction and by
-    the libm wrappers after boxing their result.
+    emulator at each destination lane of an instruction whose
+    :data:`~repro.isa.sse.SSE_OPS` row is ``reboxed`` and by the libm
+    wrappers after boxing their result.
     """
 
     def __init__(self, arith: DualPathArithmetic, config: SanitizeConfig,
@@ -301,9 +291,6 @@ class Sanitizer:
         self.stats = stats
         self.trace = trace
         self.sites: dict[int, SiteRecord] = {}
-        #: op filter consulted by the emulator hook (attribute, so the
-        #: emulator never imports this module)
-        self.checked_ops = CHECKED_OPS
 
     # ------------------------------------------------------------------ #
 

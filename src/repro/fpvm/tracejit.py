@@ -38,24 +38,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.isa.opcodes import is_fp_trapping
 from repro.machine.predecode import _BLOCK_SAFE
 from repro.trace.events import (TraceCompileEvent, TraceDeoptEvent,
                                 TraceRecordEvent)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fpvm.runtime import FPVM
-
-#: steps that may divert through the FPVM trap handler: a post-step RIP
-#: mismatch there is a deopt (the handler took over), not a side exit
-_FP_DIVERT = frozenset([
-    "addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd",
-    "addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd",
-    "addss", "subss", "mulss", "divss",
-    "sqrtsd", "sqrtpd", "ucomisd", "comisd", "cmpsd", "roundsd",
-    "fmaddsd", "cvtsi2sd", "cvttsd2si", "cvtsd2si", "cvtsd2ss",
-    "cvtss2sd", "fpvm_trap", "fpvm_patch",
-])
-
 
 class TraceInfo:
     __slots__ = ("header", "fn", "length", "addrs", "valid", "handler",
@@ -281,7 +270,11 @@ class TraceJIT:
             a("        C[%d]()" % ins.addr)
             if ins.mnemonic in _BLOCK_SAFE and k != last:
                 continue
-            fp = ins.mnemonic in _FP_DIVERT
+            # a step that may divert through the FPVM trap handler: a
+            # RIP mismatch there is a deopt (the handler took over), not
+            # a side exit
+            fp = (is_fp_trapping(ins.mnemonic)
+                  or ins.mnemonic in ("fpvm_trap", "fpvm_patch"))
             a("        if m.halted or regs.rip != %d or not I.valid:" % after)
             a("            TJ._chain_exit(I, %d, %r)" % (ins.addr, fp))
             a("            return")

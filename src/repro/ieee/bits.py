@@ -132,16 +132,6 @@ def quiet64(b: int) -> int:
     return b | F64_QNAN_BIT
 
 
-def neg64(b: int) -> int:
-    """Flip the sign bit (bit operation — exactly what ``xorpd`` does)."""
-    return b ^ F64_SIGN_BIT
-
-
-def abs64(b: int) -> int:
-    """Clear the sign bit (exactly what ``andpd`` with ~sign does)."""
-    return b & ~F64_SIGN_BIT
-
-
 # ---------------------------------------------------------------------------
 # binary32 classification
 # ---------------------------------------------------------------------------
@@ -229,17 +219,3 @@ def compose64(sign: int, mant: int, exp: int) -> int:
     if sign:
         out |= F64_SIGN_BIT
     return out
-
-
-def decompose32(b: int) -> tuple[int, int, int]:
-    """binary32 analogue of :func:`decompose64`."""
-    e = (b & F32_EXP_MASK) >> F32_EXP_SHIFT
-    if e == F32_MAX_BIASED_EXP:
-        raise ValueError("cannot decompose NaN/Inf")
-    s = (b >> 31) & 1
-    f = b & F32_FRAC_MASK
-    if e == 0:
-        return (s, f, 1 - F32_EXP_BIAS - 23)
-    return (s, f | (1 << 23), e - F32_EXP_BIAS - 23)
-
-

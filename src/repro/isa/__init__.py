@@ -13,6 +13,8 @@ Submodules:
 * :mod:`repro.isa.opcodes`   — mnemonic table with classification
   (which instructions can raise FP exceptions, which are the
   non-faulting "correctness hole" ops, base cycle costs…)
+* :mod:`repro.isa.sse`       — one row per FP-trapping SSE mnemonic,
+  from which the interpreter, the FPVM decoder and the analyses derive
 * :mod:`repro.isa.instructions` — the Instruction dataclass
 """
 

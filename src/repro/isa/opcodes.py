@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, auto
 
+from repro.isa.sse import SSE_OPS
+
 
 class OpClass(Enum):
     INT_ALU = auto()      # add/sub/and/or/... on GPRs; sets rflags
@@ -89,26 +91,12 @@ for _cc in ("je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe", "ja", "jae",
 _mk(OPCODES, "call", OpClass.CONTROL, 5, 4)
 _mk(OPCODES, "ret", OpClass.CONTROL, 1, 4)
 
-# --- SSE FP arithmetic (trap-capable) ---------------------------------------
-for _m, _c in (("addsd", 3), ("subsd", 3), ("mulsd", 5), ("divsd", 20),
-               ("sqrtsd", 27), ("minsd", 3), ("maxsd", 3)):
-    _mk(OPCODES, _m, OpClass.FP_ARITH, 4, _c)
-for _m, _c in (("addpd", 3), ("subpd", 3), ("mulpd", 5), ("divpd", 25),
-               ("sqrtpd", 35), ("minpd", 3), ("maxpd", 3)):
-    _mk(OPCODES, _m, OpClass.FP_ARITH, 4, _c, lanes=2)
-for _m, _c in (("addss", 3), ("subss", 3), ("mulss", 5), ("divss", 13)):
-    _mk(OPCODES, _m, OpClass.FP_ARITH, 4, _c)
-_mk(OPCODES, "fmaddsd", OpClass.FP_ARITH, 5, 5)  # simplified 3-op FMA
-
-# --- SSE FP comparison -------------------------------------------------------
-_mk(OPCODES, "ucomisd", OpClass.FP_CMP, 4, 2)
-_mk(OPCODES, "comisd", OpClass.FP_CMP, 4, 2)
-_mk(OPCODES, "cmpsd", OpClass.FP_CMP, 5, 3)
-
-# --- SSE FP conversions ------------------------------------------------------
-for _m, _c in (("cvtsi2sd", 4), ("cvttsd2si", 4), ("cvtsd2si", 4),
-               ("cvtsd2ss", 4), ("cvtss2sd", 2), ("roundsd", 6)):
-    _mk(OPCODES, _m, OpClass.FP_CVT, 4 if _m != "roundsd" else 6, _c)
+# --- SSE FP arithmetic, comparison and conversion (trap-capable) -----------
+_FP_CLASS = {"arith": OpClass.FP_ARITH, "cmp": OpClass.FP_CMP,
+             "cvt": OpClass.FP_CVT}
+for _s in SSE_OPS.values():
+    _mk(OPCODES, _s.mnemonic, _FP_CLASS[_s.opclass], _s.length, _s.cycles,
+        _s.lanes)
 
 # --- SSE FP moves (never fault — NaN-boxes flow through silently) -----------
 for _m in ("movsd", "movss", "movapd", "movupd"):
@@ -138,10 +126,7 @@ def opcode_info(mnemonic: str) -> OpInfo:
     return OPCODES[mnemonic]
 
 
-_FP_TRAPPING = frozenset(
-    m for m, i in OPCODES.items()
-    if i.opclass in (OpClass.FP_ARITH, OpClass.FP_CMP, OpClass.FP_CVT)
-)
+_FP_TRAPPING = frozenset(SSE_OPS)
 _FP_BITWISE = frozenset(
     m for m, i in OPCODES.items() if i.opclass is OpClass.FP_BITWISE
 )

@@ -61,6 +61,7 @@ from repro.ieee.softfloat import SoftFPU
 from repro.isa.opcodes import is_fp_trapping
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
+from repro.isa.sse import SSE_OPS
 from repro.machine.cpu import EXIT_ADDR, HEAP_BASE, STACK_TOP
 from repro.machine.costmodel import Platform, R815, instruction_cost
 from repro.machine.libc import (
@@ -1119,8 +1120,7 @@ def _mk_call(bm, ins, C):
 # ----------------------------- SSE makers ---------------------------------- #
 
 def _mk_f_scalar(bm, ins, C):
-    kind = {"addsd": "add64", "subsd": "sub64", "mulsd": "mul64",
-            "divsd": "div64"}[ins.mnemonic]
+    kind = SSE_OPS[ins.mnemonic].kernel
     pair = bm.regs.xmm[ins.operands[0].index]
     rs = _v_f64_reader(bm, ins.operands[1])
     fpu = bm.fpu

@@ -54,6 +54,8 @@ from repro.errors import MachineError
 from repro.isa.opcodes import OpClass, is_fp_trapping
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
+from repro.isa.sse import (BOTH, F32, F64, FLAGS, GPR, INT, LO32, SSE_OPS,
+                           XMM128)
 from repro.machine.costmodel import instruction_cost
 from repro.machine.traps import TrapFrame, TrapKind
 from repro.trace.events import ExternCallEvent
@@ -87,14 +89,6 @@ _COND = {
     "p": lambda r: r.pf == 1,
     "np": lambda r: r.pf == 0,
 }
-
-#: SSE mnemonic -> SoftFPU method
-_SCALAR_OPS = {"addsd": "add64", "subsd": "sub64", "mulsd": "mul64",
-               "divsd": "div64", "minsd": "min64", "maxsd": "max64"}
-_PACKED_OPS = {"addpd": "add64", "subpd": "sub64", "mulpd": "mul64",
-               "divpd": "div64", "minpd": "min64", "maxpd": "max64"}
-_SCALAR32_OPS = {"addss": "add32", "subss": "sub32", "mulss": "mul32",
-                 "divss": "div32"}
 
 
 def _op_size(ins: "Instruction", default: int = 8) -> int:
@@ -1065,211 +1059,123 @@ def _make_fpvm_patch(m, ins):
 # A clean op (flags 0) skips the call: ``_fp_event`` would record nothing and
 # deliver nothing.
 
-def _make_f_scalar(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = getattr(m.fpu, _SCALAR_OPS[ins.mnemonic])
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _f64_reader(m, ins.operands[1])
-    fp_event = m._fp_event
-
-    def body():
-        r, fl = fn(lanes[0], rs())
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = r & _MASK64
-        regs.rip = nxt
-    return body
+_SRC_READERS = {F64: _f64_reader, F32: _f32_reader, XMM128: _xmm128_reader,
+                INT: lambda m, op: _int_reader(m, op, op.size)}
 
 
-def _make_f_scalar32(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = getattr(m.fpu, _SCALAR32_OPS[ins.mnemonic])
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _f32_reader(m, ins.operands[1])
-    fp_event = m._fp_event
+def _make_sse(m, ins):
+    """An FP-trapping op, from its :data:`~repro.isa.sse.SSE_OPS` row.
 
-    def body():
-        r, fl = fn(lanes[0] & _M32, rs())
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = ((lanes[0] & ~_M32) | r) & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_f_packed(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = getattr(m.fpu, _PACKED_OPS[ins.mnemonic])
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _xmm128_reader(m, ins.operands[1])
-    fp_event = m._fp_event
-
-    def body():
-        blo, bhi = rs()
-        rlo, flo = fn(lanes[0], blo)
-        rhi, fhi = fn(lanes[1], bhi)
-        fl = flo | fhi
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = rlo & _MASK64
-        lanes[1] = rhi & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_sqrtpd(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = m.fpu.sqrt64
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _xmm128_reader(m, ins.operands[1])
-    fp_event = m._fp_event
-
-    def body():
-        blo, bhi = rs()
-        rlo, flo = fn(blo)
-        rhi, fhi = fn(bhi)
-        fl = flo | fhi
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = rlo & _MASK64
-        lanes[1] = rhi & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_fmaddsd(m, ins):
-    """fmaddsd dst, s1, s2  =>  dst.lo = s1*s2 + dst.lo (vfmadd231sd)."""
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = m.fpu.fma64
-    lanes = m.regs.xmm[ins.operands[0].index]
-    ra = _f64_reader(m, ins.operands[1])
-    rb = _f64_reader(m, ins.operands[2])
-    fp_event = m._fp_event
-
-    def body():
-        r, fl = fn(ra(), rb(), lanes[0])
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = r & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_to_lo(m, ins, fn, rs):
-    """dst.lo = fn(rs()) for an XMM destination: a unary op or a
-    widening conversion."""
-    regs = m.regs
-    nxt = ins.next_addr
-    lanes = m.regs.xmm[ins.operands[0].index]
-    fp_event = m._fp_event
-
-    def body():
-        r, fl = fn(rs())
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = r & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_sqrtsd(m, ins):
-    return _make_to_lo(m, ins, m.fpu.sqrt64, _f64_reader(m, ins.operands[1]))
-
-
-def _make_roundsd(m, ins):
-    mode = ins.operands[2].value & 3
-    round64 = m.fpu.round64
-    return _make_to_lo(m, ins, lambda a: round64(a, mode),
-                       _f64_reader(m, ins.operands[1]))
-
-
-def _make_cvtss2sd(m, ins):
-    return _make_to_lo(m, ins, m.fpu.cvt_f32_to_f64,
-                       _f32_reader(m, ins.operands[1]))
-
-
-def _make_cvtsi2sd(m, ins):
-    src = ins.operands[1]
-    fn = m.fpu.cvt_i32_to_f64 if src.size == 4 else m.fpu.cvt_i64_to_f64
-    return _make_to_lo(m, ins, fn, _int_reader(m, src, src.size))
-
-
-def _make_cmpsd(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = m.fpu.cmp64
-    pred = ins.operands[2].value
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _f64_reader(m, ins.operands[1])
-    fp_event = m._fp_event
-
-    def body():
-        r, fl = fn(lanes[0], rs(), pred)
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = r & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_cvtsd2si(m, ins):
-    """cvtsd2si / cvttsd2si: f64 -> signed integer register."""
-    dst, src = ins.operands
-    truncate = ins.mnemonic == "cvttsd2si"
-    fn = m.fpu.cvt_f64_to_i32 if dst.size == 4 else m.fpu.cvt_f64_to_i64
-    rs = _f64_reader(m, src)
-    wd = _int_writer(m, dst, dst.size)
+    The row's operand shapes pick one closure shape here, at compile
+    time; ``k`` is the kernel's trailing constant (the masked immediate,
+    or CVT(T)SD2SI's truncation flag).
+    """
+    spec = SSE_OPS[ins.mnemonic]
+    ops = ins.operands
+    fn = getattr(m.fpu, spec.variant(ins)[1])
+    k = ops[-1].value & spec.imm_mask if spec.imm_mask else spec.truncate
+    rs = _SRC_READERS[spec.src](m, ops[1])
     regs = m.regs
     nxt = ins.next_addr
     fp_event = m._fp_event
 
-    def body():
-        r, fl = fn(rs(), truncate)
-        if fl and fp_event(ins, fl):
-            return
-        wd(r)
-        regs.rip = nxt
-    return body
+    if spec.dst == GPR:
+        wd = _int_writer(m, ops[0], ops[0].size)
 
+        def body():
+            r, fl = fn(rs(), k)
+            if fl and fp_event(ins, fl):
+                return
+            wd(r)
+            regs.rip = nxt
+        return body
 
-def _make_cvtsd2ss(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = m.fpu.cvt_f64_to_f32
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _f64_reader(m, ins.operands[1])
-    fp_event = m._fp_event
+    lanes = regs.xmm[ops[0].index]
+    unary = spec.args == (1,)
+    if spec.dst == FLAGS:
+        def body():
+            (zf, pf, cf), fl = fn(lanes[0], rs())
+            if fl and fp_event(ins, fl):
+                return
+            regs.zf, regs.pf, regs.cf = zf, pf, cf
+            regs.of = 0
+            regs.sf = 0
+            regs.rip = nxt
+    elif spec.dst == BOTH:
+        if unary:
+            def body():
+                blo, bhi = rs()
+                rlo, flo = fn(blo)
+                rhi, fhi = fn(bhi)
+                fl = flo | fhi
+                if fl and fp_event(ins, fl):
+                    return
+                lanes[0] = rlo & _MASK64
+                lanes[1] = rhi & _MASK64
+                regs.rip = nxt
+        else:
+            def body():
+                blo, bhi = rs()
+                rlo, flo = fn(lanes[0], blo)
+                rhi, fhi = fn(lanes[1], bhi)
+                fl = flo | fhi
+                if fl and fp_event(ins, fl):
+                    return
+                lanes[0] = rlo & _MASK64
+                lanes[1] = rhi & _MASK64
+                regs.rip = nxt
+    elif spec.dst == LO32:
+        if unary:
+            def body():
+                r, fl = fn(rs())
+                if fl and fp_event(ins, fl):
+                    return
+                lanes[0] = ((lanes[0] & ~_M32) | r) & _MASK64
+                regs.rip = nxt
+        else:
+            def body():
+                r, fl = fn(lanes[0] & _M32, rs())
+                if fl and fp_event(ins, fl):
+                    return
+                lanes[0] = ((lanes[0] & ~_M32) | r) & _MASK64
+                regs.rip = nxt
+    elif spec.args == (1, 2, 0):
+        rb = _f64_reader(m, ops[2])
 
-    def body():
-        r32, fl = fn(rs())
-        if fl and fp_event(ins, fl):
-            return
-        lanes[0] = ((lanes[0] & ~_M32) | r32) & _MASK64
-        regs.rip = nxt
-    return body
-
-
-def _make_ucomi(m, ins):
-    regs = m.regs
-    nxt = ins.next_addr
-    fn = m.fpu.ucomi64 if ins.mnemonic == "ucomisd" else m.fpu.comi64
-    lanes = m.regs.xmm[ins.operands[0].index]
-    rs = _f64_reader(m, ins.operands[1])
-    fp_event = m._fp_event
-
-    def body():
-        (zf, pf, cf), fl = fn(lanes[0], rs())
-        if fl and fp_event(ins, fl):
-            return
-        regs.zf, regs.pf, regs.cf = zf, pf, cf
-        regs.of = 0
-        regs.sf = 0
-        regs.rip = nxt
+        def body():
+            r, fl = fn(rs(), rb(), lanes[0])
+            if fl and fp_event(ins, fl):
+                return
+            lanes[0] = r & _MASK64
+            regs.rip = nxt
+    elif unary and k is None:
+        def body():
+            r, fl = fn(rs())
+            if fl and fp_event(ins, fl):
+                return
+            lanes[0] = r & _MASK64
+            regs.rip = nxt
+    elif unary:
+        def body():
+            r, fl = fn(rs(), k)
+            if fl and fp_event(ins, fl):
+                return
+            lanes[0] = r & _MASK64
+            regs.rip = nxt
+    elif k is None:
+        def body():
+            r, fl = fn(lanes[0], rs())
+            if fl and fp_event(ins, fl):
+                return
+            lanes[0] = r & _MASK64
+            regs.rip = nxt
+    else:
+        def body():
+            r, fl = fn(lanes[0], rs(), k)
+            if fl and fp_event(ins, fl):
+                return
+            lanes[0] = r & _MASK64
+            regs.rip = nxt
     return body
 
 
@@ -1455,12 +1361,7 @@ _MAKERS: dict[str, Callable[["Machine", "Instruction"], Step]] = {
     "int3": _make_fault("breakpoint"),
     "ud2": _make_fault("undefined instruction executed"),
     "fpvm_trap": _make_fpvm_trap, "fpvm_patch": _make_fpvm_patch,
-    "sqrtsd": _make_sqrtsd, "sqrtpd": _make_sqrtpd,
-    "fmaddsd": _make_fmaddsd, "roundsd": _make_roundsd,
-    "ucomisd": _make_ucomi, "comisd": _make_ucomi, "cmpsd": _make_cmpsd,
-    "cvtsi2sd": _make_cvtsi2sd,
-    "cvttsd2si": _make_cvtsd2si, "cvtsd2si": _make_cvtsd2si,
-    "cvtsd2ss": _make_cvtsd2ss, "cvtss2sd": _make_cvtss2sd,
+    **dict.fromkeys(SSE_OPS, _make_sse),
     "movsd": _make_movsd, "movss": _make_movss, "movq": _make_movq,
     "movapd": _make_movapd, "movupd": _make_movapd,
     "movhpd": _make_movhpd,
@@ -1473,9 +1374,3 @@ for _cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "p", "np"):
     _MAKERS["set" + _cc] = _make_setcc
 for _cc in ("e", "ne", "l", "g"):
     _MAKERS["cmov" + _cc] = _make_cmovcc
-for _mn in _SCALAR_OPS:
-    _MAKERS[_mn] = _make_f_scalar
-for _mn in _PACKED_OPS:
-    _MAKERS[_mn] = _make_f_packed
-for _mn in _SCALAR32_OPS:
-    _MAKERS[_mn] = _make_f_scalar32

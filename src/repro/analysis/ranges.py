@@ -532,7 +532,7 @@ class RangeAnalysis(Fixpoint):
         mn = ins.mnemonic
         ops = ins.operands
         out = st
-        spec = SSE_OPS.get(mn)
+        spec = SSE_OPS[mn] if mn in SSE_OPS else None
 
         if spec is not None and spec.scalar_binop:
             dst, src = ops

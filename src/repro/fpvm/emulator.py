@@ -79,7 +79,7 @@ class Emulator:
         }
         # the arithmetic ops apply the port method their row names
         for spec in SSE_OPS.values():
-            if spec.opclass == "arith" and spec.op is not FPVMOp.FMA:
+            if spec.opclass == "FP_ARITH" and spec.op is not FPVMOp.FMA:
                 mk = (self._mk_binop32 if spec.dst == LO32
                       else self._mk_unop if spec.args == (1,)
                       else self._mk_binop)

@@ -270,9 +270,8 @@ class TraceJIT:
             a("        C[%d]()" % ins.addr)
             if ins.mnemonic in _BLOCK_SAFE and k != last:
                 continue
-            # a step that may divert through the FPVM trap handler: a
-            # RIP mismatch there is a deopt (the handler took over), not
-            # a side exit
+            # a RIP mismatch after a step that may divert through the
+            # trap handler is a deopt (the handler took over)
             fp = (is_fp_trapping(ins.mnemonic)
                   or ins.mnemonic in ("fpvm_trap", "fpvm_patch"))
             a("        if m.halted or regs.rip != %d or not I.valid:" % after)

@@ -92,10 +92,8 @@ _mk(OPCODES, "call", OpClass.CONTROL, 5, 4)
 _mk(OPCODES, "ret", OpClass.CONTROL, 1, 4)
 
 # --- SSE FP arithmetic, comparison and conversion (trap-capable) -----------
-_FP_CLASS = {"arith": OpClass.FP_ARITH, "cmp": OpClass.FP_CMP,
-             "cvt": OpClass.FP_CVT}
 for _s in SSE_OPS.values():
-    _mk(OPCODES, _s.mnemonic, _FP_CLASS[_s.opclass], _s.length, _s.cycles,
+    _mk(OPCODES, _s.mnemonic, OpClass[_s.opclass], _s.length, _s.cycles,
         _s.lanes)
 
 # --- SSE FP moves (never fault — NaN-boxes flow through silently) -----------

@@ -62,7 +62,7 @@ class SSEOp:
     #: operand indices in kernel (and emulator) argument order; index 0
     #: reads the destination register
     args: tuple[int, ...]
-    opclass: str            # "arith" | "cmp" | "cvt": OpClass.FP_*
+    opclass: str            # OpClass name: FP_ARITH | FP_CMP | FP_CVT
     length: int             # synthetic encoded length in bytes
     cycles: int             # base cost in model cycles
     lanes: int = 1          # 2 for the packed forms
@@ -111,40 +111,40 @@ _OPS32 = {FPVMOp.ADD: FPVMOp.ADD32, FPVMOp.SUB: FPVMOp.SUB32,
 # arithmetic: scalar binary64, packed binary64, scalar binary32
 for _op, _n, _c, _, _ in _BINOPS:
     _row(_n + "sd", _op, _n + "64", _n, LO64, F64,
-         (1,) if _op is FPVMOp.SQRT else (0, 1), "arith", 4, _c,
+         (1,) if _op is FPVMOp.SQRT else (0, 1), "FP_ARITH", 4, _c,
          reboxed=True)
 for _op, _n, _, _c, _ in _BINOPS:
     _row(_n + "pd", _op, _n + "64", _n, BOTH, XMM128,
-         (1,) if _op is FPVMOp.SQRT else (0, 1), "arith", 4, _c, lanes=2,
+         (1,) if _op is FPVMOp.SQRT else (0, 1), "FP_ARITH", 4, _c, lanes=2,
          reboxed=True)
 for _op, _n, _, _, _c in _BINOPS[:4]:
-    _row(_n + "ss", _OPS32[_op], _n + "32", _n, LO32, F32, (0, 1), "arith",
+    _row(_n + "ss", _OPS32[_op], _n + "32", _n, LO32, F32, (0, 1), "FP_ARITH",
          4, _c)
 # simplified 3-operand FMA: fmaddsd dst, s1, s2 => dst.lo = s1*s2 + dst.lo
-_row("fmaddsd", FPVMOp.FMA, "fma64", "fma", LO64, F64, (1, 2, 0), "arith",
+_row("fmaddsd", FPVMOp.FMA, "fma64", "fma", LO64, F64, (1, 2, 0), "FP_ARITH",
      5, 5, reboxed=True)
 
 # comparison
 _row("ucomisd", FPVMOp.UCOMI, "ucomi64", "compare", FLAGS, F64, (0, 1),
-     "cmp", 4, 2)
+     "FP_CMP", 4, 2)
 _row("comisd", FPVMOp.COMI, "comi64", "compare", FLAGS, F64, (0, 1),
-     "cmp", 4, 2)
+     "FP_CMP", 4, 2)
 _row("cmpsd", FPVMOp.CMP_PRED, "cmp64", "compare", LO64, F64, (0, 1),
-     "cmp", 5, 3, imm_mask=7)
+     "FP_CMP", 5, 3, imm_mask=7)
 
 # conversion
 _row("cvtsi2sd", FPVMOp.CVT_I64_F64, "cvt_i64_to_f64", "from_i64", LO64,
-     INT, (1,), "cvt", 4, 4,
+     INT, (1,), "FP_CVT", 4, 4,
      narrow=(FPVMOp.CVT_I32_F64, "cvt_i32_to_f64"), reboxed=True)
 _row("cvttsd2si", FPVMOp.CVT_F64_I64_TRUNC, "cvt_f64_to_i64", "to_i64", GPR,
-     F64, (1,), "cvt", 4, 4, truncate=True,
+     F64, (1,), "FP_CVT", 4, 4, truncate=True,
      narrow=(FPVMOp.CVT_F64_I32_TRUNC, "cvt_f64_to_i32"))
 _row("cvtsd2si", FPVMOp.CVT_F64_I64, "cvt_f64_to_i64", "to_i64", GPR, F64,
-     (1,), "cvt", 4, 4, truncate=False,
+     (1,), "FP_CVT", 4, 4, truncate=False,
      narrow=(FPVMOp.CVT_F64_I32, "cvt_f64_to_i32"))
 _row("cvtsd2ss", FPVMOp.CVT_F64_F32, "cvt_f64_to_f32", "to_f32_bits", LO32,
-     F64, (1,), "cvt", 4, 4)
+     F64, (1,), "FP_CVT", 4, 4)
 _row("cvtss2sd", FPVMOp.CVT_F32_F64, "cvt_f32_to_f64", "from_f32_bits",
-     LO64, F32, (1,), "cvt", 4, 2, reboxed=True)
+     LO64, F32, (1,), "FP_CVT", 4, 2, reboxed=True)
 _row("roundsd", FPVMOp.ROUND, "round64", "round_to_integral", LO64, F64,
-     (1,), "cvt", 6, 6, imm_mask=3, reboxed=True)
+     (1,), "FP_CVT", 6, 6, imm_mask=3, reboxed=True)
